@@ -243,11 +243,3 @@ def boundary_value_by_shooting(
 def boundary_value_closed_form_beta0(eta: complex) -> complex:
     """For beta = 0 the solution is a pure exponential: F(0) = -1/sqrt(i - eta)."""
     return -1.0 / np.sqrt(1j - eta)
-
-
-def write_profile_csv(sol: CapSolution, path, stride: int = 1) -> None:
-    """Dump (x, Re F, Im F) columns."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,re_F,im_F\n")
-        for xi, fi in zip(sol.x[::stride], sol.values[::stride]):
-            fh.write(f"{xi:.17g},{fi.real:.17g},{fi.imag:.17g}\n")

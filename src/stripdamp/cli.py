@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, cap, eigen, evolve, quasimode, resolvent, verify
 from .errors import StripDampError
+from .fits import loglog_fit
 from .model import load_config, parse_config_text, select_h
 
 
@@ -72,19 +73,32 @@ def _load(args):
     return cfg
 
 
-def _thresholds(args):
-    th = dict(verify.DEFAULT_THRESHOLDS)
-    if getattr(args, "tolerance_file", None):
-        text = Path(args.tolerance_file).read_text(encoding="utf-8")
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in th:
-                raise StripDampError(f"unknown threshold {key!r}")
-            th[key] = json.loads(value)
-    return th
+def _check_pinned_geometry(cfg):
+    """verify-all runs default_config(beta); refuse a config it would ignore."""
+    ref = verify.default_config(cfg.profile.beta)
+    fields = [(f, getattr(cfg.profile, f), getattr(ref.profile, f))
+              for f in ("a", "sigma", "b", "join")]
+    fields += [("delta", cfg.cutoff.delta, ref.cutoff.delta),
+               ("bc", cfg.bc, ref.bc), ("l", cfg.l, ref.l)]
+    differ = [f"{k} = {v!r} (verify-all runs {w!r})" for k, v, w in fields if v != w]
+    if differ:
+        raise StripDampError("verify-all runs the pinned geometry of each beta; "
+                             "the config sets " + ", ".join(differ))
+
+
+def _read_thresholds(path) -> dict:
+    """Threshold overrides from a key = value file, checked before any stage runs."""
+    text = Path(path).read_text(encoding="utf-8")
+    out = parse_config_text(text, keys=verify.DEFAULT_THRESHOLDS)
+    for key, value in out.items():
+        # tail_levels takes a list of numbers, every other threshold one number
+        listed = isinstance(verify.DEFAULT_THRESHOLDS[key], tuple)
+        items = value if listed else [value]
+        if not (isinstance(items, list) and items and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)):
+            kind = "a list of numbers" if listed else "a number"
+            raise StripDampError(f"threshold {key} must be {kind} (got {value!r})")
+    return out
 
 
 def cmd_cap_solve(args):
@@ -127,15 +141,7 @@ def cmd_eigen_sweep(args):
     sols = eigen.eigen_sweep(ctx, hs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        {"h": s.h, "re_lambda": s.lambda_h.real, "im_lambda": s.lambda_h.imag,
-         "re_C": s.C_h.real, "im_C": s.C_h.imag,
-         "newton_iterations": s.iterations, "newton_residual": s.newton_residual,
-         "glue_residual": s.glue_residual}
-        for s in sols
-    ]
-    path = write_csv(out / "eigen_sweep.csv", rows)
-    from .fits import loglog_fit
+    path = write_csv(out / "eigen_sweep.csv", verify.eigen_rows(sols))
     fit = loglog_fit([s.h for s in sols], [s.scaling_gap for s in sols])
     expected = (beta + 4.0) / (beta + 2.0)
     print(f"gap exponent {fit.slope:.4f} (construction target {expected:.4f})")
@@ -145,29 +151,19 @@ def cmd_eigen_sweep(args):
 
 def cmd_quasimode_sweep(args):
     cfg = _load(args)
-    beta = cfg.profile.beta
-    ctx = eigen.build_context(beta, cfg.profile.a, cfg.l, cfg.bc)
+    qms = verify.quasimode_sweep(cfg, cfg.m_list)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    mu = 0.0 + 0.0j
-    for m in sorted(cfg.m_list):
-        h = select_h(m, cfg.profile.b)
-        sol = eigen.find_eigenvalue(cfg.l, h, ctx, mu0=mu)
-        mu = sol.mu
-        qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
-        rows.append({"m": m, "h": h, "re_q": qm.q.real, "im_q": qm.q.imag,
-                     "residual": qm.residual, "tail": qm.tail})
-        if args.dump_profiles:
-            x = np.linspace(-cfg.profile.b, cfg.profile.b, 4001)
-            u = qm.evaluate(x)
-            write_csv(out / f"quasimode_profile_m{m}.csv",
+    if args.dump_profiles:
+        x = np.linspace(-cfg.profile.b, cfg.profile.b, 4001)
+        for qm in qms:
+            write_csv(out / f"quasimode_profile_m{qm.m}.csv",
                       [{"x": xi, "re_u": ui.real, "im_u": ui.imag}
-                       for xi, ui in zip(x, u)])
-    path = write_csv(out / "quasimode_sweep.csv", rows)
-    from .fits import loglog_fit
-    fit_res = loglog_fit([r["re_q"] for r in rows], [r["residual"] for r in rows])
-    fit_imq = loglog_fit([r["re_q"] for r in rows], [abs(r["im_q"]) for r in rows])
+                       for xi, ui in zip(x, qm.evaluate(x))])
+    path = write_csv(out / "quasimode_sweep.csv", verify.quasimode_rows(qms))
+    re_q = [qm.q.real for qm in qms]
+    fit_res = loglog_fit(re_q, [qm.residual for qm in qms])
+    fit_imq = loglog_fit(re_q, [abs(qm.q.imag) for qm in qms])
     print(f"residual exponent {fit_res.slope:.4f}; Im q exponent {fit_imq.slope:.4f}")
     print(f"wrote {path}")
     return 0
@@ -177,31 +173,25 @@ def cmd_resolvent_scan(args):
     cfg = _load(args)
     beta = cfg.profile.beta
     if args.branches:
-        branches = tuple(int(s) for s in args.branches.split(","))
+        try:
+            branches = tuple(int(s) for s in args.branches.split(","))
+        except ValueError:
+            raise StripDampError(f"--branches takes comma-separated integers "
+                                 f"(got {args.branches!r})") from None
+        if len(branches) < 2:
+            raise StripDampError(
+                "--branches needs at least two m values to fit a growth exponent"
+            )
     elif beta in verify.RESOLVENT_BRANCH_M:
         branches = verify.RESOLVENT_BRANCH_M[beta]
     else:
         raise StripDampError(
             "no default resolvent branches for this beta; pass --branches m1,m2,..."
         )
-    ctx = eigen.build_context(beta, cfg.profile.a, cfg.l, cfg.bc)
-    sols = []
-    mu = 0.0 + 0.0j
-    for m in branches:
-        sol = eigen.find_eigenvalue(cfg.l, select_h(m, cfg.profile.b), ctx, mu0=mu)
-        mu = sol.mu
-        sols.append(sol)
-    scan = resolvent.scan_peaks(sols, cfg.profile, n_cap=args.n_cap)
+    scan, _ = verify.resolvent_scan(cfg, branches, n_cap=args.n_cap)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    qs = np.array([s.q for s in scan.samples])
-    norms = np.array([s.norm for s in scan.samples])
-    local = np.concatenate([[float("nan")],
-                            np.diff(np.log(norms)) / np.diff(np.log(qs))])
-    rows = [{"q": s.q, "m_star": s.m, "norm": s.norm, "n": s.n,
-             "local_slope": float(local[i])}
-            for i, s in enumerate(scan.samples)]
-    path = write_csv(out / "resolvent_scan.csv", rows)
+    path = write_csv(out / "resolvent_scan.csv", verify.resolvent_rows(scan.samples))
     if args.dump_operator:
         import scipy.io
         s0 = scan.samples[0]
@@ -266,7 +256,10 @@ def cmd_verify_all(args):
         raise StripDampError(
             f"verify-all carries pinned windows only for beta in {sorted(verify.EIGEN_H_WINDOWS)}"
         )
-    thresholds = _thresholds(args)
+    _check_pinned_geometry(cfg)
+    thresholds = dict(verify.DEFAULT_THRESHOLDS)
+    if args.tolerance_file:
+        thresholds.update(_read_thresholds(args.tolerance_file))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_paths = {}
@@ -306,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out-dir", default="out", help="artifact directory")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
     p.add_argument("--beta-override", type=float, default=None)
     p.add_argument("--tolerance-file", default=None,
                    help="key = value overrides for acceptance thresholds")

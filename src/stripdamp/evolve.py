@@ -68,10 +68,6 @@ class EnergyTrace:
     energies: np.ndarray
     m: int
 
-    def tail(self, frac: float = 0.1) -> "EnergyTrace":
-        keep = self.times >= frac * self.times[-1]
-        return EnergyTrace(self.times[keep], self.energies[keep], self.m)
-
 
 @dataclass(frozen=True)
 class RateFit:

@@ -15,11 +15,6 @@ class FitResult:
     r2: float
     n: int
 
-    @property
-    def ci95(self) -> float:
-        """Half-width of a ~95% confidence band on the slope."""
-        return 2.0 * self.stderr
-
 
 def linear_fit(x, y) -> FitResult:
     x = np.asarray(x, dtype=float)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,17 +25,17 @@ BC_DIRICHLET = "dirichlet"
 BC_NEUMANN = "neumann"
 
 
-def _smoothstep(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, monotone in between."""
-    t = np.asarray(t, dtype=float)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out = np.zeros_like(t)
-    out[hi] = 1.0
+def _falling_step(t):
+    """C-infinity step built from the exp(-1/t) bump: 1 for t <= 0, 0 for t >= 1.
+
+    Every derivative vanishes at both ends of the transition.
+    """
+    out = np.ones_like(t)
+    out[t >= 1.0] = 0.0
+    mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
-    p = np.exp(-1.0 / tm)
-    q = np.exp(-1.0 / (1.0 - tm))
+    p = np.exp(-1.0 / (1.0 - tm))  # e(1-t)
+    q = np.exp(-1.0 / tm)          # e(t)
     out[mid] = p / (p + q)
     return out
 
@@ -103,11 +103,10 @@ class DampingProfile:
             outer = np.full_like(ax, self.sigma**self.beta)
         else:
             # blend (|x|-a)^beta into the constant (2 sigma)^beta across one
-            # extra sigma; the step vanishes to all orders at a + sigma so W
+            # extra sigma; the step is flat to all orders at a + sigma so W
             # stays smooth there
-            t = (ax - (self.a + self.sigma)) / self.sigma
-            s = _smoothstep(t)
-            outer = (1.0 - s) * mid + s * (2.0 * self.sigma) ** self.beta
+            f = _falling_step((ax - (self.a + self.sigma)) / self.sigma)
+            outer = f * mid + (1.0 - f) * (2.0 * self.sigma) ** self.beta
         w = np.where(ax <= self.a + self.sigma, mid, outer)
         return w if w.shape else float(w)
 
@@ -134,8 +133,8 @@ class UniformDamping:
 class CutoffFunction:
     """Smooth plateau cutoff: 1 for x < b - 2*delta, 0 for x > b - delta.
 
-    The transition is the normalized exp(-1/t) bump, so every derivative
-    vanishes at both transition endpoints.
+    The transition is the step built from the exp(-1/t) bump, so every
+    derivative vanishes at both transition endpoints.
     """
 
     b: float
@@ -149,14 +148,7 @@ class CutoffFunction:
         return (np.asarray(x, dtype=float) - (self.b - 2 * self.delta)) / self.delta
 
     def value(self, x):
-        t = self._t(x)
-        out = np.ones_like(t)
-        out[t >= 1.0] = 0.0
-        mid = (t > 0.0) & (t < 1.0)
-        tm = t[mid]
-        p = np.exp(-1.0 / (1.0 - tm))  # e(1-t)
-        q = np.exp(-1.0 / tm)          # e(t)
-        out[mid] = p / (p + q)
+        out = _falling_step(self._t(x))
         return out if out.shape else float(out)
 
     def derivative(self, x, order=1):
@@ -201,26 +193,6 @@ def mode_from_h(h: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    newton_tol: float = 1e-10
-    glue_tol: float = 1e-7
-    tail_tol: float = 1e-5
-    f0_rtol: float = 1e-8
-    identity_rtol: float = 1e-6
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    cap_dx: float = 2.5e-4       # half-line solver mesh for root finding
-    cap_dx_fine: float = 5e-5    # half-line mesh backing quasimode profiles
-    neumann_L: float = 12.0
-    neumann_n: int = 20000
-    quad_nodes: int = 10         # Gauss-Legendre nodes per panel
-    resolvent_n: int = 4000
-    points_per_wavelength: int = 20
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Validated bundle consumed by every driver stage."""
 
@@ -229,8 +201,6 @@ class RunConfig:
     bc: str = BC_DIRICHLET
     l: float = 1
     m_list: tuple = (64, 128, 256, 512, 1024, 2048)
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    grids: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
         violations = []
@@ -266,16 +236,14 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # plain key = value configuration files
 
-_CONFIG_KEYS = {
-    "beta", "a", "sigma", "b", "delta", "join", "bc", "l", "m_list",
-    "cap_dx", "cap_dx_fine", "neumann_L", "neumann_n", "quad_nodes",
-    "resolvent_n", "points_per_wavelength",
-    "newton_tol", "glue_tol", "tail_tol", "f0_rtol", "identity_rtol",
-}
+_CONFIG_KEYS = {"beta", "a", "sigma", "b", "delta", "join", "bc", "l", "m_list"}
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse 'key = value' lines; values in JSON syntax, '#" starts a comment."""
+def parse_config_text(text: str, keys=_CONFIG_KEYS) -> dict:
+    """Parse 'key = value' lines; values in JSON syntax, '#" starts a comment.
+
+    Keys outside `keys` are rejected.
+    """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -284,7 +252,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError([f"line {lineno}: expected 'key = value' (got {raw!r})"])
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError([f"line {lineno}: unknown key {key!r}"])
         try:
             out[key] = json.loads(value)
@@ -306,24 +274,9 @@ def config_from_dict(d: dict) -> RunConfig:
     bc = d.pop("bc", BC_DIRICHLET)
     l = d.pop("l", 1)
     m_list = tuple(int(m) for m in d.pop("m_list", (64, 128, 256, 512, 1024, 2048)))
-    tol_kwargs = {k: float(d.pop(k)) for k in list(d) if k in Tolerances.__dataclass_fields__}
-    grid_kwargs = {}
-    for k in list(d):
-        if k in GridSpec.__dataclass_fields__:
-            v = d.pop(k)
-            typ = GridSpec.__dataclass_fields__[k].type
-            grid_kwargs[k] = int(v) if typ == "int" else float(v)
     if d:
         raise ConfigError([f"unhandled key {k!r}" for k in d])
-    return RunConfig(
-        profile=profile,
-        cutoff=cutoff,
-        bc=bc,
-        l=l,
-        m_list=m_list,
-        tolerances=Tolerances(**tol_kwargs),
-        grids=GridSpec(**grid_kwargs),
-    )
+    return RunConfig(profile=profile, cutoff=cutoff, bc=bc, l=l, m_list=m_list)
 
 
 def load_config(path) -> RunConfig:

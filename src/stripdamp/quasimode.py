@@ -38,8 +38,6 @@ __all__ = [
     "Quasimode",
     "ansatz_params",
     "build_quasimode",
-    "residual_norm",
-    "tail_mass",
     "mass_bound_check",
     "damping_identity",
 ]
@@ -253,26 +251,6 @@ def build_quasimode(
     )
 
 
-def residual_norm(qm: Quasimode, profile: DampingProfile) -> float:
-    """Relative L2(0, b) residual of the reduced stationary operator.
-
-    Evaluates  -u'' + i q W u + (4 pi^2 m^2/b^2 - q^2) u  with the zeroth
-    coefficient in the collapsed form -lambda^2/h^2 - lambda^4/4 (an exact
-    identity under the (q, m) ansatz), and u'' assembled by the product rule
-    from the stored factor derivatives. By evenness of the profile the half
-    interval carries the whole norm.
-    """
-    lam = qm.eig.lambda_h
-    q = qm.q
-    coef = -(lam * lam) / qm.h2 - lam**4 / 4.0
-    Wx = profile.damping(qm.x)
-    upp = qm.d2phi * qm.v + 2.0 * qm.dphi * qm.dv + qm.phi * qm.d2v
-    R = -upp + 1j * q * Wx * qm.u + coef * qm.u
-    return float(
-        math.sqrt(np.sum(qm.w * np.abs(R) ** 2)) / math.sqrt(np.sum(qm.w * np.abs(qm.u) ** 2))
-    )
-
-
 def direct_residual_norm(qm: Quasimode, profile: DampingProfile, n: int = 40000) -> float:
     """Cross-check: same residual from raw finite differences of u.
 
@@ -293,11 +271,6 @@ def direct_residual_norm(qm: Quasimode, profile: DampingProfile, n: int = 40000)
     num = np.trapezoid(np.abs(R[sel]) ** 2, x[sel])
     den = np.trapezoid(np.abs(u[sel]) ** 2, x[sel])
     return float(math.sqrt(num / den))
-
-
-def tail_mass(qm: Quasimode, profile: DampingProfile | None = None) -> float:
-    """Mass ratio of the cut-off profile beyond a + sigma (already stored)."""
-    return qm.tail
 
 
 def mass_bound_check(qm: Quasimode, profile: DampingProfile):

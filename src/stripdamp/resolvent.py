@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ResolutionError
 from .fits import FitResult, loglog_fit
+from .quasimode import ansatz_params
 
 __all__ = [
     "ReducedOperator",
@@ -33,7 +34,6 @@ __all__ = [
     "resolvent_norm",
     "scan_point",
     "scan_and_fit",
-    "peak_frequencies",
     "scan_peaks",
     "quasimode_lower_bound",
 ]
@@ -191,38 +191,24 @@ def scan_and_fit(q_values, profile, *, n: int | None = None, window: int = 3,
     return ScanResult(samples=samples, fit=fit)
 
 
-def peak_frequencies(eigs, b: float):
-    """Predicted resonance peaks (q, m, halfwidth) from matched eigenvalues.
-
-    The peak of branch m sits at Re(q) of the constructed quasimode frequency
-    and has halfwidth about |Im q| along the real axis.
-    """
-    out = []
-    for eig in eigs:
-        h2 = b / (2.0 * math.pi * round(b / (2.0 * math.pi * eig.h**2)))
-        q = 1.0 / h2 + eig.lambda_h**2 / 2.0
-        m = int(round(b / (2.0 * math.pi * eig.h**2)))
-        out.append((float(q.real), m, max(abs(q.imag), 1e-12 * q.real)))
-    return out
-
-
 def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
                points_per_wavelength: int = 20,
-               n_cap: int | None = None, coarse_tol: float = 1e-4,
-               tol: float = 1e-9) -> ScanResult:
+               n_cap: int | None = None, tol: float = 1e-9) -> ScanResult:
     """Resolvent norm maximized locally around each predicted peak.
 
-    For each branch: a coarse window maximization at the predicted location
-    picks the worst transverse mode (loose iteration tolerance, since only
-    the argmax matters and off-resonance operators have clustered singular
-    values that converge slowly), then a short golden-section polish in q
-    sharpens the peak value at full tolerance. Grid sizes follow the
-    effective wavenumber over the mode window plus the boundary-layer scale
-    of the expected minimal singular vector, unless n_cap pins them.
+    For each branch the peak sits at Re q of the constructed quasimode
+    frequency, on the branch's own transverse mode m = b / (2 pi h^2), with
+    halfwidth about |Im q| along the real axis. A short golden-section
+    polish in q sharpens the peak value. Grid sizes follow the effective
+    wavenumber over the modes within `window` of resonance plus the
+    boundary-layer scale of the expected minimal singular vector, unless
+    n_cap pins them.
     """
     b = profile.b
     samples = []
-    for eig, (q_pred, m, width) in zip(eigs, peak_frequencies(eigs, b)):
+    for eig in eigs:
+        q, m = ansatz_params(eig, b)
+        q_pred, width = float(q.real), max(abs(q.imag), 1e-12 * q.real)
         if n_cap is not None:
             n = n_cap
         else:
@@ -231,21 +217,14 @@ def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
             layer = eig.h ** (2.0 / (eig.beta + 2.0))
             n_layer = int(math.ceil(points_per_wavelength * 2.0 * b / layer))
             n = max(4000, n_osc, n_layer)
-        best = None
-        for mm in _m_window(q_pred, b, window):
-            samp = resolvent_norm(q_pred, mm, profile, n, tol=coarse_tol,
-                                  points_per_wavelength=points_per_wavelength)
-            if best is None or samp.norm > best.norm:
-                best = samp
-        m_star = best.m
-        best = resolvent_norm(q_pred, m_star, profile, n, tol=tol,
+        best = resolvent_norm(q_pred, m, profile, n, tol=tol,
                               points_per_wavelength=points_per_wavelength)
         lo, hi = q_pred - 2.0 * width, q_pred + 2.0 * width
         carry = {"v0": None}
 
         def norm_at(qq):
             samp, vec = resolvent_norm(
-                qq, m_star, profile, n, tol=tol,
+                qq, m, profile, n, tol=tol,
                 points_per_wavelength=points_per_wavelength,
                 v0=carry["v0"], want_vector=True)
             if vec is not None:
@@ -260,7 +239,7 @@ def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
             else:
                 lo = qa
         q_star = 0.5 * (lo + hi)
-        polished, _ = resolvent_norm(q_star, m_star, profile, n, tol=tol,
+        polished, _ = resolvent_norm(q_star, m, profile, n, tol=tol,
                                      points_per_wavelength=points_per_wavelength,
                                      v0=carry["v0"], want_vector=True)
         if polished.norm < best.norm:

@@ -131,8 +131,52 @@ class StageReport:
 
 
 @functools.lru_cache(maxsize=None)
-def context_for(beta: float, a: float = 1.0, l: float = 1) -> eigen.EigenContext:
-    return eigen.build_context(beta, a, l, BC_DIRICHLET)
+def context_for(beta: float, a: float = 1.0, l: float = 1,
+                bc: str = BC_DIRICHLET) -> eigen.EigenContext:
+    return eigen.build_context(beta, a, l, bc)
+
+
+def mode_branch(cfg: RunConfig, m_list):
+    """(m, solution) along ascending m, each solve seeded by the previous root."""
+    p = cfg.profile
+    ms = sorted(m_list)
+    ctx = context_for(p.beta, p.a, cfg.l, cfg.bc)
+    return list(zip(ms, eigen.eigen_sweep(ctx, [select_h(m, p.b) for m in ms])))
+
+
+# CSV row shapes shared by verify-all and the sweep subcommands
+
+def eigen_rows(sols) -> list:
+    return [
+        {
+            "h": s.h, "re_lambda": s.lambda_h.real, "im_lambda": s.lambda_h.imag,
+            "re_C": s.C_h.real, "im_C": s.C_h.imag,
+            "newton_iterations": s.iterations, "newton_residual": s.newton_residual,
+            "glue_residual": s.glue_residual,
+        }
+        for s in sols
+    ]
+
+
+def quasimode_rows(qms) -> list:
+    return [
+        {
+            "m": qm.m, "h": qm.h, "re_q": qm.q.real, "im_q": qm.q.imag,
+            "residual": qm.residual, "tail": qm.tail,
+        }
+        for qm in qms
+    ]
+
+
+def resolvent_rows(samples) -> list:
+    qs = np.array([s.q for s in samples])
+    ns_ = np.array([s.norm for s in samples])
+    sl = np.concatenate([[np.nan], local_slopes(qs, ns_)])
+    return [
+        {"q": s.q, "m_star": s.m, "norm": s.norm, "n": s.n,
+         "local_slope": float(sl[i])}
+        for i, s in enumerate(samples)
+    ]
 
 
 def airy_boundary_value() -> complex:
@@ -227,15 +271,7 @@ def check_eigen_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRepo
         elapsed < thresholds["eigen_budget_s"],
         f"{elapsed:.1f}s", f"< {thresholds['eigen_budget_s']}s",
     ))
-    rep.rows["eigen_sweep"] = [
-        {
-            "h": s.h, "re_lambda": s.lambda_h.real, "im_lambda": s.lambda_h.imag,
-            "re_C": s.C_h.real, "im_C": s.C_h.imag,
-            "newton_iterations": s.iterations, "newton_residual": s.newton_residual,
-            "glue_residual": s.glue_residual,
-        }
-        for s in sols
-    ]
+    rep.rows["eigen_sweep"] = eigen_rows(sols)
     return rep
 
 
@@ -243,16 +279,10 @@ def check_eigen_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRepo
 # criterion 5: frequency placement through the mode ansatz
 
 @functools.lru_cache(maxsize=None)
-def mode_scaling_data(beta: float, b: float = 3.0):
-    ctx = context_for(beta)
-    sols = []
-    mu = 0.0 + 0.0j
-    for m in sorted(MODE_SWEEP_M[beta]):
-        h = select_h(m, b)
-        sol = eigen.find_eigenvalue(ctx.l, h, ctx, mu0=mu)
-        mu = sol.mu
-        sols.append((m, sol, quasimode.ansatz_params(sol, b)))
-    return sols
+def mode_scaling_data(beta: float):
+    cfg = default_config(beta)
+    return [(m, sol, quasimode.ansatz_params(sol, cfg.profile.b))
+            for m, sol in mode_branch(cfg, MODE_SWEEP_M[beta])]
 
 
 def check_frequency_placement(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
@@ -282,25 +312,22 @@ def check_frequency_placement(beta: float, thresholds=DEFAULT_THRESHOLDS) -> Sta
 # ---------------------------------------------------------------------------
 # criteria 4 and 6: quasimode sweeps
 
+def quasimode_sweep(cfg: RunConfig, m_list, cap_dx: float = 5.0e-5) -> list:
+    """Quasimodes along ascending m in the geometry of cfg."""
+    return [quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=cap_dx)
+            for _, sol in mode_branch(cfg, m_list)]
+
+
 @functools.lru_cache(maxsize=None)
 def quasimode_sweep_data(beta: float, which: str):
-    cfg = default_config(beta)
-    ctx = context_for(beta)
     if which == "residual":
         m_list, cap_dx = RESIDUAL_SWEEP[beta]
     elif which == "tail":
         m_list, cap_dx = TAIL_SWEEP_M[beta], 5.0e-5
     else:
         raise ValueError(which)
-    out = []
-    mu = 0.0 + 0.0j
-    for m in sorted(m_list):
-        h = select_h(m, cfg.profile.b)
-        sol = eigen.find_eigenvalue(ctx.l, h, ctx, mu0=mu)
-        mu = sol.mu
-        qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=cap_dx)
-        out.append(qm)
-    return cfg, out
+    cfg = default_config(beta)
+    return cfg, quasimode_sweep(cfg, m_list, cap_dx)
 
 
 def check_residual_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
@@ -333,13 +360,7 @@ def check_residual_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageR
         f"max residual*Re q = {bound_seq.max():.3e}",
         "non-increasing up to 50% slack",
     ))
-    rep.rows["quasimode_sweep"] = [
-        {
-            "m": qm.m, "h": qm.h, "re_q": qm.q.real, "im_q": qm.q.imag,
-            "residual": qm.residual, "tail": qm.tail,
-        }
-        for qm in qms
-    ]
+    rep.rows["quasimode_sweep"] = quasimode_rows(qms)
     return rep
 
 
@@ -391,21 +412,18 @@ def check_tail_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
 # ---------------------------------------------------------------------------
 # criterion 7: resolvent scans
 
+def resolvent_scan(cfg: RunConfig, m_list, n_cap: int | None = None):
+    """Peak-aligned scan over the branches m_list; returns (scan, scan seconds)."""
+    sols = [sol for _, sol in mode_branch(cfg, m_list)]
+    t0 = time.perf_counter()
+    scan = resolvent.scan_peaks(sols, cfg.profile, n_cap=n_cap)
+    return scan, time.perf_counter() - t0
+
+
 @functools.lru_cache(maxsize=None)
 def resolvent_scan_data(beta: float):
     cfg = default_config(beta)
-    ctx = context_for(beta)
-    sols = []
-    mu = 0.0 + 0.0j
-    for m in RESOLVENT_BRANCH_M[beta]:
-        h = select_h(m, cfg.profile.b)
-        sol = eigen.find_eigenvalue(ctx.l, h, ctx, mu0=mu)
-        mu = sol.mu
-        sols.append(sol)
-    t0 = time.perf_counter()
-    scan = resolvent.scan_peaks(sols, cfg.profile)
-    elapsed = time.perf_counter() - t0
-    return cfg, scan, elapsed
+    return (cfg,) + resolvent_scan(cfg, RESOLVENT_BRANCH_M[beta])
 
 
 def check_resolvent_band(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
@@ -423,15 +441,7 @@ def check_resolvent_band(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRep
         elapsed < thresholds["resolvent_budget_s"],
         f"{elapsed:.0f}s", f"< {thresholds['resolvent_budget_s']:.0f}s",
     ))
-    samples = scan.samples
-    qs = np.array([s.q for s in samples])
-    ns_ = np.array([s.norm for s in samples])
-    sl = np.concatenate([[np.nan], local_slopes(qs, ns_)])
-    rep.rows["resolvent_scan"] = [
-        {"q": s.q, "m_star": s.m, "norm": s.norm, "n": s.n,
-         "local_slope": float(sl[i])}
-        for i, s in enumerate(samples)
-    ]
+    rep.rows["resolvent_scan"] = resolvent_rows(scan.samples)
     return rep
 
 

@@ -25,6 +25,9 @@ import pytest
 
 from stripdamp import verify
 
+# the whole pipeline gate; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 
 def _assert_all(report):
     for check in report.checks:

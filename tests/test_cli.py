@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from stripdamp import cli
+from stripdamp import cli, verify
 
 CONFIG = """
 beta = 1.0
@@ -95,3 +95,73 @@ class TestSubcommands:
         copy = tmp_path / "copy.cfg"
         copy.write_text(CONFIG, encoding="utf-8")
         assert cli.config_hash(copy) == cli.config_hash(cfg_file)
+
+
+class TestInputChecks:
+    """Bad input exits 2 with a message before any solve or stage runs."""
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a solve or stage ran")
+
+        monkeypatch.setattr(verify, "resolvent_scan", boom)
+        monkeypatch.setattr(verify, "verify_all", boom)
+
+    @pytest.mark.parametrize("branches, message", [
+        ("192", "at least two"),
+        ("192,abc", "comma-separated integers"),
+    ])
+    def test_bad_branches_rejected(self, tmp_path, cfg_file, capsys, no_work,
+                                   branches, message):
+        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out"),
+                       "resolvent-scan", "--branches", branches])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_all_rejects_geometry_it_would_ignore(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "sigma.cfg"
+        cfg.write_text(CONFIG.replace("sigma = 1.0", "sigma = 0.8"), encoding="utf-8")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                       "verify-all"])
+        assert rc == 2
+        assert "sigma = 0.8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("airy_rtoll = 1e-6", "unknown key 'airy_rtoll'"),
+        ("airy_rtol 1e-6", "expected 'key = value'"),
+        ("airy_rtol = tight", "airy_rtol must be a number"),
+        ("airy_rtol = [1e-6]", "airy_rtol must be a number"),
+        ("tail_levels = 2.0", "tail_levels must be a list of numbers"),
+        ('tail_levels = [2.0, "x"]', "tail_levels must be a list of numbers"),
+    ])
+    def test_bad_tolerance_file(self, tmp_path, cfg_file, capsys, no_work, text, message):
+        tol = tmp_path / "tol.cfg"
+        tol.write_text(text + "\n", encoding="utf-8")
+        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out"),
+                       "--tolerance-file", str(tol), "verify-all"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tolerance_file_overrides_thresholds(self, tmp_path, cfg_file, monkeypatch):
+        seen = {}
+
+        def no_stages(beta, thresholds):
+            seen.update(thresholds)
+            return iter(())
+
+        monkeypatch.setattr(verify, "verify_all", no_stages)
+        tol = tmp_path / "tol.cfg"
+        tol.write_text("airy_rtol = 1e-5  # looser\ntail_levels = [1, 2]\n",
+                       encoding="utf-8")
+        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                       "--tolerance-file", str(tol), "verify-all"])
+        assert rc == 0
+        assert seen["airy_rtol"] == 1e-5 and seen["tail_levels"] == [1, 2]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["thresholds"]["airy_rtol"] == 1e-5

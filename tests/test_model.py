@@ -150,14 +150,13 @@ class TestConfig:
         bc = "dirichlet"
         l = 1
         m_list = [64, 128]
-        newton_tol = 1e-9
-        resolvent_n = 2000
         """
         cfg = config_from_dict(parse_config_text(text))
         assert cfg.profile.beta == 1.0
         assert cfg.m_list == (64, 128)
-        assert cfg.tolerances.newton_tol == 1e-9
-        assert cfg.grids.resolvent_n == 2000
+        # solver tolerances and grids are not configuration keys
+        with pytest.raises(ConfigError, match="unknown key 'newton_tol'"):
+            parse_config_text(text + "newton_tol = 1e-9\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ from stripdamp.quadrature import fd_derivative
 
 
 def _pointwise_residual(qm, profile):
-    """Residual of the reduced operator on qm.x, assembled as residual_norm does."""
+    """Residual of the reduced operator on qm.x, assembled as build_quasimode does."""
     lam = qm.eig.lambda_h
     coef = -(lam * lam) / qm.h2 - lam**4 / 4.0
     upp = qm.d2phi * qm.v + 2.0 * qm.dphi * qm.dv + qm.phi * qm.d2v

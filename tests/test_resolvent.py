@@ -96,6 +96,43 @@ class TestScan:
             assert worst(gamma) <= min(worst(g) for g in grid) + 1e-9
 
 
+class TestPeakMode:
+    """scan_peaks solves each peak on its branch's own transverse mode."""
+
+    MODES = (192, 384)
+
+    @pytest.fixture(scope="class")
+    def branches(self):
+        cfg = verify.default_config(0.0)
+        hs = [select_h(m, cfg.profile.b) for m in self.MODES]
+        return cfg.profile, eigen.eigen_sweep(verify.context_for(0.0), hs)
+
+    def test_own_mode_maximizes_the_window(self, branches):
+        profile, sols = branches
+        for sol in sols:
+            q, m = quasimode.ansatz_params(sol, profile.b)
+            # the search scan_peaks used to make: loose tolerance, as only
+            # the argmax matters
+            norms = {mm: resolvent.resolvent_norm(q.real, mm, profile, 4000, tol=1e-4).norm
+                     for mm in range(m - 3, m + 4)}
+            assert max(norms, key=norms.get) == m
+
+    def test_scan_uses_own_mode_at_full_tolerance(self, branches, monkeypatch):
+        profile, sols = branches
+        tols = []
+        norm = resolvent.resolvent_norm
+
+        def spy(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "resolvent_norm", spy)
+        scan = resolvent.scan_peaks(sols, profile, tol=1e-9)
+        assert [s.m for s in scan.samples] == list(self.MODES)
+        assert [s.n for s in scan.samples] == [4000, 4000]
+        assert set(tols) == {1e-9}
+
+
 @pytest.mark.slow
 class TestBand:
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
