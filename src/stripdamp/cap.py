@@ -37,6 +37,11 @@ def default_truncation(beta: float) -> float:
     return 10.0 * max(1.0, neumann_ground(beta).value) ** (1.0 / beta)
 
 
+def default_points(L: float) -> int:
+    """Grid intervals of the default half-line mesh on (0, L): spacing 2.5e-4, at least 1000."""
+    return max(1000, int(round(L / _DEFAULT_DX)))
+
+
 @dataclass(frozen=True)
 class NeumannGround:
     """Lowest Neumann spectral point of -d^2/dx^2 + x^beta on the half line."""
@@ -53,7 +58,7 @@ class NeumannGround:
 
 
 @functools.lru_cache(maxsize=None)
-def neumann_ground(beta: float, L: float = 12.0, n: int = 20000) -> NeumannGround:
+def neumann_ground(beta: float) -> NeumannGround:
     """Ground level via a symmetrized tridiagonal eigensolve.
 
     The Neumann condition at 0 is imposed by ghost elimination; the resulting
@@ -62,6 +67,7 @@ def neumann_ground(beta: float, L: float = 12.0, n: int = 20000) -> NeumannGroun
     """
     if beta < 0:
         raise DomainError(f"beta must be >= 0 (got {beta})")
+    L, n = 12.0, 20000
     if beta == 0:
         # operator is -d^2/dx^2 + 1: spectrum [1, inf), no discrete eigenvalue
         return NeumannGround(beta=0.0, value=1.0, L=L, n=n, essential=True)
@@ -79,14 +85,13 @@ def neumann_ground(beta: float, L: float = 12.0, n: int = 20000) -> NeumannGroun
     return NeumannGround(beta=beta, value=value, L=L, n=n)
 
 
-def check_eta_admissible(eta: complex, ground: NeumannGround,
-                         rtol: float = 1e-6) -> bool:
+def check_eta_admissible(eta: complex, ground: NeumannGround) -> bool:
     """True iff |eta| <= half the Neumann ground level (closed disk).
 
-    A relative skin of rtol absorbs the discretization error of the computed
+    A relative skin of 1e-6 absorbs the discretization error of the computed
     ground level, so exact-edge parameters like half the true level pass.
     """
-    return abs(eta) <= ground.admissible_radius * (1.0 + rtol)
+    return abs(eta) <= ground.admissible_radius * (1.0 + 1e-6)
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,6 @@ class CapSolution:
     x: np.ndarray               # uniform grid on [0, L]
     values: np.ndarray          # F on x
     boundary_value: complex     # F(0)
-    boundary_value_eta_deriv: complex  # d F(0) / d eta of the discrete map
     L: float
     n: int
     tail_ratio: float           # |F(L)| / max|F|
@@ -150,10 +154,6 @@ def solve_cap(
     beta: float,
     L: float | None = None,
     n: int | None = None,
-    *,
-    ground: NeumannGround | None = None,
-    enforce_admissible: bool = True,
-    tail_tol: float = 1e-5,
 ) -> CapSolution:
     """Unique decaying solution of the half-line problem with F'(0) = 1.
 
@@ -163,28 +163,26 @@ def solve_cap(
     """
     if beta < 0:
         raise DomainError(f"beta must be >= 0 (got {beta})")
-    if enforce_admissible:
-        if ground is None:
-            ground = neumann_ground(beta)
-        if not check_eta_admissible(eta, ground):
-            raise AdmissibilityError(
-                f"|eta| = {abs(eta):.4f} outside the admissible disk of radius "
-                f"{ground.admissible_radius:.4f}"
-            )
+    ground = neumann_ground(beta)
+    if not check_eta_admissible(eta, ground):
+        raise AdmissibilityError(
+            f"|eta| = {abs(eta):.4f} outside the admissible disk of radius "
+            f"{ground.admissible_radius:.4f}"
+        )
     if L is None:
         L = default_truncation(beta)
     if n is None:
-        n = max(1000, int(round(L / _DEFAULT_DX)))
+        n = default_points(L)
     if n < 1000:
         raise DomainError(f"n must be at least 1000 (got {n})")
-    f0, df0, F = boundary_pair(eta, beta, L, n)
+    f0, _, F = boundary_pair(eta, beta, L, n)
     x = np.linspace(0.0, L, n + 1)
     dx = L / n
     amax = float(np.max(np.abs(F)))
     tail_ratio = float(abs(F[-1])) / amax
-    if tail_ratio > tail_tol:
+    if tail_ratio > 1e-5:
         raise TruncationError(
-            f"|F(L)|/max|F| = {tail_ratio:.2e} exceeds {tail_tol:.1e}; "
+            f"|F(L)|/max|F| = {tail_ratio:.2e} exceeds 1.0e-05; "
             "increase the truncation length L"
         )
     # integrated identity: conj(F(0)) + int |F'|^2 + i int x^beta |F|^2
@@ -202,7 +200,6 @@ def solve_cap(
         x=x,
         values=F,
         boundary_value=complex(f0),
-        boundary_value_eta_deriv=complex(df0),
         L=float(L),
         n=int(n),
         tail_ratio=tail_ratio,

@@ -28,11 +28,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, rows: list, columns: list | None = None) -> Path:
+def write_csv(path: Path, rows: list) -> Path:
     if not rows:
         path.write_text("", encoding="utf-8")
         return path
-    cols = columns or list(rows[0].keys())
+    cols = list(rows[0].keys())
     lines = [",".join(cols)]
     lines += [",".join(_fmt(row[c]) for c in cols) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -101,7 +101,16 @@ def _read_thresholds(path) -> dict:
     return out
 
 
+def _require_positive(args, *names):
+    """Refuse a given option that is not a positive number, before any solve."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not value > 0:
+            raise StripDampError(f"--{name} must be positive (got {value})")
+
+
 def cmd_cap_solve(args):
+    _require_positive(args, "stride")
     cfg = _load(args)
     eta = complex(args.eta)
     sol = cap.solve_cap(eta, cfg.profile.beta)
@@ -127,10 +136,16 @@ def cmd_neumann(args):
 
 
 def cmd_eigen_sweep(args):
+    if (args.h_min is None) != (args.h_max is None):
+        raise StripDampError("--h-min and --h-max go together: give both or neither")
+    if args.h_min is not None and not 0 < args.h_min < args.h_max < 1:
+        raise StripDampError(f"need 0 < --h-min < --h-max < 1 (got {args.h_min}, {args.h_max})")
+    if args.points < 2:
+        raise StripDampError(f"--points must be at least 2 to fit an exponent (got {args.points})")
     cfg = _load(args)
     beta = cfg.profile.beta
     ctx = eigen.build_context(beta, cfg.profile.a, cfg.l, cfg.bc)
-    if args.h_max is not None and args.h_min is not None:
+    if args.h_max is not None:
         hs = np.geomspace(args.h_max, args.h_min, args.points)
     elif beta in verify.EIGEN_H_WINDOWS:
         lo, hi = verify.EIGEN_H_WINDOWS[beta]
@@ -206,6 +221,7 @@ def cmd_resolvent_scan(args):
 
 
 def cmd_evolve(args):
+    _require_positive(args, "m", "dt", "T")
     cfg = _load(args)
     beta = cfg.profile.beta
     ctx = eigen.build_context(beta, cfg.profile.a, cfg.l, cfg.bc)
@@ -229,9 +245,12 @@ def cmd_evolve(args):
 
 
 def cmd_fit(args):
-    data = np.genfromtxt(args.input, delimiter=",", names=True)
-    trace = evolve.EnergyTrace(np.asarray(data[args.t_col]),
-                               np.asarray(data[args.e_col]), m=0)
+    data = np.atleast_1d(np.genfromtxt(args.input, delimiter=",", names=True))
+    for col in (args.t_col, args.e_col):
+        if col not in (data.dtype.names or ()):
+            raise StripDampError(f"{args.input} has no column {col!r} "
+                                 f"(columns: {', '.join(data.dtype.names or ())})")
+    trace = evolve.EnergyTrace(data[args.t_col], data[args.e_col], m=0)
     rate = evolve.fit_decay(trace)
     summary = {
         "alpha_hat": rate.exponent,

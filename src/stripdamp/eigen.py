@@ -101,17 +101,14 @@ def build_context(
     a: float,
     l: float,
     bc: str = BC_DIRICHLET,
-    *,
-    cap_dx: float = 2.5e-4,
-    cap_L: float | None = None,
 ) -> EigenContext:
     if bc == BC_DIRICHLET and abs(l - round(l)) > 1e-12:
         raise ValueError(f"Dirichlet requires integer l (got {l})")
     if bc == BC_NEUMANN and abs(l + 0.5 - round(l + 0.5)) > 1e-12:
         raise ValueError(f"Neumann requires half-integer l (got {l})")
     ground = cap.neumann_ground(beta)
-    L = cap_L if cap_L is not None else cap.default_truncation(beta)
-    n = max(1000, int(round(L / cap_dx)))
+    L = cap.default_truncation(beta)
+    n = cap.default_points(L)
     f0, _, _ = cap.boundary_pair(0.0, beta, L, n)
     A1 = np.pi * l * f0 / a**2
     return EigenContext(
@@ -200,15 +197,14 @@ def find_eigenvalue(
     ctx: EigenContext,
     *,
     mu0: complex = 0.0,
-    newton_tol: float = 1e-10,
     max_iter: int = 40,
 ) -> EigenSolution:
     """Newton iteration on mu -> G(mu, h) seeded at mu0 (continuation-friendly).
 
     The returned solution has |mu| < 1 and both matching equations verified
-    independently; failure raises RootFindError with a bisection-in-h hint.
-    The achieved |G| can floor near 1e-10: the boundary-value solves carry
-    rounding noise of that order, which bounds attainable residuals.
+    independently; a residual |G| above 1e-10 raises RootFindError with a
+    bisection-in-h hint. The achieved |G| can floor near that tolerance: the
+    boundary-value solves carry rounding noise of that order.
     """
     if l != ctx.l:
         raise ValueError(f"context was built for l = {ctx.l}, got {l}")
@@ -229,11 +225,10 @@ def find_eigenvalue(
         mu = best[1]
         G, lam, eta, f0 = compatibility_value(mu, h, ctx)
     residual = abs(G)
-    if residual > newton_tol:
+    if residual > 1e-10:
         raise RootFindError(
-            f"Newton stalled at |G| = {residual:.2e} (tol {newton_tol:.1e}) for "
-            f"h = {h}; try seeding from a nearby h (bisection in h) or loosen "
-            "newton_tol toward the solver noise floor"
+            f"Newton stalled at |G| = {residual:.2e} (tol 1.0e-10) for h = {h}; "
+            "try seeding from a nearby h (bisection in h)"
         )
     if abs(mu) >= 1.0:
         raise RootFindError(
@@ -256,19 +251,19 @@ def find_eigenvalue(
     )
 
 
-def eigen_sweep(ctx: EigenContext, h_values, **kwargs) -> list[EigenSolution]:
+def eigen_sweep(ctx: EigenContext, h_values) -> list[EigenSolution]:
     """Track the root across decreasing h, seeding each solve with the last mu."""
     hs = sorted(h_values, reverse=True)
     out = []
     mu = 0.0 + 0.0j
     for h in hs:
-        sol = find_eigenvalue(ctx.l, h, ctx, mu0=mu, **kwargs)
+        sol = find_eigenvalue(ctx.l, h, ctx, mu0=mu)
         mu = sol.mu
         out.append(sol)
     return out
 
 
-def admissible_h_max(ctx: EigenContext, safety: float = 1.0) -> float:
+def admissible_h_max(ctx: EigenContext) -> float:
     """Largest h keeping eta admissible for every |mu| <= 1.
 
     Uses the worst-case |lambda| over the unit mu-disk; bisection on the
@@ -276,7 +271,7 @@ def admissible_h_max(ctx: EigenContext, safety: float = 1.0) -> float:
     """
     beta, a, l = ctx.beta, ctx.a, ctx.l
     _, lam_pow = ctx.exponents()
-    target = 0.5 * ctx.lambda1 * safety
+    target = 0.5 * ctx.lambda1
 
     def worst_eta(h):
         lam_max = np.pi * abs(l) * h / a + (abs(ctx.A1) + 1.0) * h**lam_pow

@@ -23,14 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InstabilityError, ResolutionError
+from .errors import InstabilityError, PreconditionError, ResolutionError
 from .fits import FitResult, linear_fit
+from .model import interior_grid
 
 __all__ = [
     "WaveState",
     "EnergyTrace",
     "RateFit",
-    "make_grid",
     "quasimode_state",
     "discrete_energy",
     "evolve",
@@ -55,11 +55,11 @@ class WaveState:
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.b / (self.n + 1)
+        return interior_grid(self.b, self.n)[1]
 
     @property
     def x(self) -> np.ndarray:
-        return -self.b + self.dx * np.arange(1, self.n + 1)
+        return interior_grid(self.b, self.n)[0]
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,9 @@ class RateFit:
     reason: str = ""          # 'r2' or 'curvature' when inconclusive
 
 
-def make_grid(b: float, n: int) -> np.ndarray:
-    return -b + (2.0 * b / (n + 1)) * np.arange(1, n + 1)
-
-
 def _stiffness(n: int, b: float, m: int):
     """Tridiagonal -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends."""
-    dx = 2.0 * b / (n + 1)
+    _, dx = interior_grid(b, n)
     shift = 4.0 * math.pi**2 * m**2 / b**2
     diag = np.full(n, 2.0 / dx**2 + shift)
     off = np.full(n - 1, -1.0 / dx**2)
@@ -102,7 +98,7 @@ def discrete_energy(state: WaveState) -> float:
 
 def quasimode_state(qm, n: int) -> WaveState:
     """Initial data (u, i q u) resampling a stored quasimode on n points."""
-    x = make_grid(qm.b, n)
+    x, _ = interior_grid(qm.b, n)
     u = qm.evaluate(x)
     return WaveState(u=u, v=1j * qm.q * u, m=qm.m, b=qm.b, t=0.0)
 
@@ -114,14 +110,13 @@ def evolve(
     T: float,
     *,
     stride: int = 1,
-    scheme_tol: float = 1e-9,
     store_states: bool = False,
 ):
     """Implicit midpoint evolution; returns an EnergyTrace (and states if asked).
 
     dt must resolve the fastest retained oscillation; an energy increase
-    beyond scheme_tol (relative, per sample) raises InstabilityError since
-    the scheme is dissipative for W >= 0.
+    beyond 1e-9 (relative, per sample) raises InstabilityError since the
+    scheme is dissipative for W >= 0.
     """
     n, b, m = initial.n, initial.b, initial.m
     A, dx = _stiffness(n, b, m)
@@ -133,9 +128,9 @@ def evolve(
             f"dt = {dt} does not resolve the transverse frequency {freq:.3g}"
         )
     alpha = 0.5 * dt
-    lhs = sp.diags([np.full(n - 1, 0.0), 1.0 + alpha * W, np.full(n - 1, 0.0)],
-                   [-1, 0, 1], format="csc", dtype=complex) + alpha**2 * A.astype(complex)
-    lu = spla.splu(sp.csc_matrix(lhs))
+    one_plus_aw = 1.0 + alpha * W
+    lhs = sp.diags(one_plus_aw, format="csc", dtype=complex) + alpha**2 * A.astype(complex)
+    lu = spla.splu(lhs)
     u = initial.u.astype(complex).copy()
     v = initial.v.astype(complex).copy()
     steps = int(round(T / dt))
@@ -144,7 +139,6 @@ def evolve(
     energies = [discrete_energy(state)]
     states = [state] if store_states else None
     e_prev = energies[0]
-    one_plus_aw = 1.0 + alpha * W
     for k in range(1, steps + 1):
         r1 = u + alpha * v
         r2 = v - alpha * (A @ u + W * v)
@@ -155,7 +149,7 @@ def evolve(
             t = initial.t + k * dt
             state = WaveState(u=u.copy(), v=v.copy(), m=m, b=b, t=t)
             e = discrete_energy(state)
-            if e > e_prev * (1.0 + scheme_tol):
+            if e > e_prev * (1.0 + 1e-9):
                 raise InstabilityError(
                     f"energy rose from {e_prev:.6e} to {e:.6e} at t = {t:.4g}; "
                     "the damping is nonnegative so this indicates a stepping fault"
@@ -169,28 +163,26 @@ def evolve(
     return (trace, states) if store_states else trace
 
 
-def fit_decay(trace: EnergyTrace, *, t_min: float | None = None,
-              t_max: float | None = None, r2_floor: float = 0.9,
-              curvature_tol: float = 0.25) -> RateFit:
+def fit_decay(trace: EnergyTrace, *, curvature_tol: float = 0.25) -> RateFit:
     """Power-law rate from log E against log t.
 
     The window drops the first tenth of the horizon (transient) and must span
     at least a decade. Returns alpha-hat = -slope/2. The fit is flagged
-    inconclusive, with no exponent asserted, when r^2 drops below the floor
-    or when the two window halves disagree on the slope by more than
+    inconclusive, with no exponent asserted, when r^2 drops below 0.9 or
+    when the two window halves disagree on the slope by more than
     curvature_tol relative (an exponential trace bends in log-log but can
     still score r^2 around 0.93 over a single decade, so the bend test is
     what actually catches the model mismatch).
     """
     t, E = trace.times, trace.energies
-    lo = 0.1 * t[-1] if t_min is None else max(t_min, 0.1 * t[-1])
-    hi = t[-1] if t_max is None else t_max
-    sel = (t >= lo) & (t <= hi) & (t > 0) & (E > 0)
+    if t.size == 0:
+        raise PreconditionError("the trace is empty; nothing to fit")
+    sel = (t >= 0.1 * t[-1]) & (t > 0) & (E > 0)
     if sel.sum() < 8:
-        raise ValueError("fit window too small")
+        raise PreconditionError(f"fit window too small: {sel.sum()} usable samples, need 8")
     tw, Ew = t[sel], E[sel]
     if tw[-1] / tw[0] < 9.5:  # a decade up to sampling granularity
-        raise ValueError(
+        raise PreconditionError(
             f"fit window spans {tw[-1] / tw[0]:.2f}x in time; need a decade"
         )
     s, y = np.log(tw), np.log(Ew)
@@ -203,7 +195,7 @@ def fit_decay(trace: EnergyTrace, *, t_min: float | None = None,
         s2 = linear_fit(s[second], y[second]).slope
         bend = abs(s2 - s1) / abs(fit.slope)
     reason = ""
-    if fit.r2 < r2_floor:
+    if fit.r2 < 0.9:
         reason = "r2"
     elif bend > curvature_tol:
         reason = "curvature"
@@ -218,10 +210,8 @@ def fit_decay(trace: EnergyTrace, *, t_min: float | None = None,
     )
 
 
-def fit_exponential_rate(trace: EnergyTrace, *, t_min: float = 0.0,
-                         t_max: float | None = None) -> FitResult:
+def fit_exponential_rate(trace: EnergyTrace, *, t_min: float = 0.0) -> FitResult:
     """Linear fit of log E against t; slope is minus the exponential rate."""
     t, E = trace.times, trace.energies
-    hi = t[-1] if t_max is None else t_max
-    sel = (t >= t_min) & (t <= hi) & (E > 0)
+    sel = (t >= t_min) & (E > 0)
     return linear_fit(t[sel], np.log(E[sel]))

@@ -177,6 +177,12 @@ class CutoffFunction:
         return out if out.shape else float(out)
 
 
+def interior_grid(b: float, n: int) -> tuple[np.ndarray, float]:
+    """(x, dx): the n interior points of (-b, b) at spacing dx = 2b / (n + 1)."""
+    dx = 2.0 * b / (n + 1)
+    return -b + dx * np.arange(1, n + 1), dx
+
+
 def select_h(m: int, b: float) -> float:
     """Semiclassical parameter for transverse mode m: h = sqrt(b / (2 pi m)).
 
@@ -224,7 +230,7 @@ class RunConfig:
                 f"Neumann boundary condition requires half-integer l (got {self.l})"
             )
         for m in self.m_list:
-            if not (isinstance(m, (int, np.integer)) and m >= 1):
+            if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
                 violations.append(f"m_list entries must be positive integers (got {m!r})")
         if violations:
             raise ConfigError(violations)
@@ -273,10 +279,12 @@ def config_from_dict(d: dict) -> RunConfig:
     cutoff = CutoffFunction(b=profile.b, delta=float(d.pop("delta", 0.4)))
     bc = d.pop("bc", BC_DIRICHLET)
     l = d.pop("l", 1)
-    m_list = tuple(int(m) for m in d.pop("m_list", (64, 128, 256, 512, 1024, 2048)))
+    m_list = d.pop("m_list", [64, 128, 256, 512, 1024, 2048])
+    if not isinstance(m_list, (list, tuple)):
+        raise ConfigError([f"m_list must be a list of positive integers (got {m_list!r})"])
     if d:
         raise ConfigError([f"unhandled key {k!r}" for k in d])
-    return RunConfig(profile=profile, cutoff=cutoff, bc=bc, l=l, m_list=m_list)
+    return RunConfig(profile=profile, cutoff=cutoff, bc=bc, l=l, m_list=tuple(m_list))
 
 
 def load_config(path) -> RunConfig:

@@ -56,12 +56,12 @@ def ansatz_params(eig: EigenSolution, b: float):
     return q, m
 
 
-def _wkb_y_limit(beta: float, max_exponent: float = 600.0) -> float:
-    """y beyond which the half-line solution underflows double precision."""
+def _wkb_y_limit(beta: float) -> float:
+    """y beyond which the half-line solution underflows (WKB decay exponent 600)."""
     if beta == 0:
-        return max_exponent / math.cos(math.pi / 4.0)
+        return 600.0 / math.cos(math.pi / 4.0)
     c = math.cos(math.pi / 4.0) * 2.0 / (beta + 2.0)
-    return (max_exponent / c) ** (2.0 / (beta + 2.0))
+    return (600.0 / c) ** (2.0 / (beta + 2.0))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,6 @@ def build_quasimode(
     cutoff: CutoffFunction,
     *,
     cap_dx: float = 5e-5,
-    quad_nodes: int = 10,
     second_derivative: str = "equation",
 ) -> Quasimode:
     """Glue, cut off and extend one matched eigen solution; measure it.
@@ -204,7 +203,7 @@ def build_quasimode(
             widths.append(min(cutoff.delta / 6.0, max(s / 2.0, 1e-3)))
         else:
             widths.append(s / 2.0)
-    X, W = gauss_panels(breaks, widths, nodes_per_panel=quad_nodes)
+    X, W = gauss_panels(breaks, widths)
 
     left = X < a
     v = np.empty(X.shape, dtype=complex)

@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ResolutionError
 from .fits import FitResult, loglog_fit
+from .model import interior_grid
 from .quasimode import ansatz_params
 
 __all__ = [
@@ -79,8 +80,7 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int,
             f"n = {n} under-resolves (q = {q}, m = {m}): need at least {need} "
             f"points ({points_per_wavelength} per effective wavelength)"
         )
-    dx = 2.0 * b / (n + 1)
-    x = -b + dx * np.arange(1, n + 1)
+    x, dx = interior_grid(b, n)
     W = profile.damping(x)
     diag = 2.0 / dx**2 + 1j * q * W + (4.0 * math.pi**2 * m**2 / b**2 - q * q)
     off = np.full(n - 1, -1.0 / dx**2)
@@ -96,8 +96,7 @@ class ResolventSample:
     n: int
 
 
-def _smallest_singular_value(A: sp.csc_matrix, tol: float, maxiter: int,
-                             v0=None, want_vector=False):
+def _smallest_singular_value(A: sp.csc_matrix, tol: float, v0=None, want_vector=False):
     n = A.shape[0]
     lu = spla.splu(A)
 
@@ -109,7 +108,7 @@ def _smallest_singular_value(A: sp.csc_matrix, tol: float, maxiter: int,
         rng = np.random.default_rng(1234)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ncv = min(n - 1, 48)
-    vals, vecs = spla.eigsh(op, k=1, which="LM", tol=tol, maxiter=maxiter,
+    vals, vecs = spla.eigsh(op, k=1, which="LM", tol=tol, maxiter=2000,
                             v0=v0, ncv=ncv)
     smin = 1.0 / math.sqrt(float(vals[0]))
     if want_vector:
@@ -118,8 +117,7 @@ def _smallest_singular_value(A: sp.csc_matrix, tol: float, maxiter: int,
 
 
 def resolvent_norm(q: float, m: int, profile, n: int, *,
-                   tol: float = 1e-9, maxiter: int = 2000,
-                   points_per_wavelength: int = 20,
+                   tol: float = 1e-9, points_per_wavelength: int = 20,
                    v0=None, want_vector: bool = False):
     """1 / sigma_min of the assembled operator, as a ResolventSample.
 
@@ -131,8 +129,7 @@ def resolvent_norm(q: float, m: int, profile, n: int, *,
     op = assemble_reduced_operator(q, m, profile, n, points_per_wavelength)
     vec = None
     try:
-        out = _smallest_singular_value(op.matrix, tol, maxiter,
-                                       v0=v0, want_vector=want_vector)
+        out = _smallest_singular_value(op.matrix, tol, v0=v0, want_vector=want_vector)
         smin, vec = out if want_vector else (out, None)
     except (spla.ArpackNoConvergence, RuntimeError):
         if n > 3000:
@@ -146,22 +143,20 @@ def resolvent_norm(q: float, m: int, profile, n: int, *,
     return (samp, vec) if want_vector else samp
 
 
-def _m_window(q: float, b: float, width: int = 3):
+def _m_window(q: float, b: float):
+    """The transverse modes within 3 of resonance with q."""
     center = int(round(b * q / (2.0 * math.pi)))
-    return [mm for mm in range(center - width, center + width + 1) if mm >= 1]
+    return [mm for mm in range(center - 3, center + 4) if mm >= 1]
 
 
-def scan_point(q: float, profile, n: int | None = None, *, window: int = 3,
-               points_per_wavelength: int = 20) -> ResolventSample:
+def scan_point(q: float, profile, n: int | None = None) -> ResolventSample:
     """Worst resolvent norm over transverse modes near resonance with q."""
-    mms = _m_window(q, profile.b, window)
+    mms = _m_window(q, profile.b)
     if n is None:
-        n = max(4000, max(min_grid_size(q, mm, profile.b, points_per_wavelength)
-                          for mm in mms))
+        n = max(4000, max(min_grid_size(q, mm, profile.b) for mm in mms))
     best = None
     for mm in mms:
-        samp = resolvent_norm(q, mm, profile, n,
-                              points_per_wavelength=points_per_wavelength)
+        samp = resolvent_norm(q, mm, profile, n)
         if best is None or samp.norm > best.norm:
             best = samp
     return best
@@ -173,8 +168,7 @@ class ScanResult:
     fit: FitResult
 
 
-def scan_and_fit(q_values, profile, *, n: int | None = None, window: int = 3,
-                 points_per_wavelength: int = 20) -> ScanResult:
+def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
     """Least-squares growth exponent of log(norm) against log(q)."""
     qs = sorted(float(q) for q in q_values)
     if qs[-1] / qs[0] < 10.0**1.5:
@@ -182,25 +176,20 @@ def scan_and_fit(q_values, profile, *, n: int | None = None, window: int = 3,
             "q grid spans less than 1.5 decades; the fitted exponent may not "
             "be meaningful", RuntimeWarning, stacklevel=2,
         )
-    samples = [
-        scan_point(q, profile, n, window=window,
-                   points_per_wavelength=points_per_wavelength)
-        for q in qs
-    ]
+    samples = [scan_point(q, profile, n) for q in qs]
     fit = loglog_fit([s.q for s in samples], [s.norm for s in samples])
     return ScanResult(samples=samples, fit=fit)
 
 
-def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
-               points_per_wavelength: int = 20,
+def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20,
                n_cap: int | None = None, tol: float = 1e-9) -> ScanResult:
     """Resolvent norm maximized locally around each predicted peak.
 
     For each branch the peak sits at Re q of the constructed quasimode
     frequency, on the branch's own transverse mode m = b / (2 pi h^2), with
-    halfwidth about |Im q| along the real axis. A short golden-section
-    polish in q sharpens the peak value. Grid sizes follow the effective
-    wavenumber over the modes within `window` of resonance plus the
+    halfwidth about |Im q| along the real axis. Three golden-section steps
+    in q sharpen the peak value. Grid sizes follow the effective
+    wavenumber over the modes within 3 of resonance plus the
     boundary-layer scale of the expected minimal singular vector, unless
     n_cap pins them.
     """
@@ -213,7 +202,7 @@ def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
             n = n_cap
         else:
             n_osc = max(min_grid_size(q_pred, mm, b, points_per_wavelength)
-                        for mm in _m_window(q_pred, b, window))
+                        for mm in _m_window(q_pred, b))
             layer = eig.h ** (2.0 / (eig.beta + 2.0))
             n_layer = int(math.ceil(points_per_wavelength * 2.0 * b / layer))
             n = max(4000, n_osc, n_layer)
@@ -231,7 +220,7 @@ def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
                 carry["v0"] = vec
             return samp.norm
 
-        for _ in range(refine):
+        for _ in range(3):
             qa = lo + 0.382 * (hi - lo)
             qb = lo + 0.618 * (hi - lo)
             if norm_at(qa) > norm_at(qb):
@@ -250,8 +239,7 @@ def scan_peaks(eigs, profile, *, window: int = 3, refine: int = 3,
     return ScanResult(samples=samples, fit=fit)
 
 
-def quasimode_lower_bound(qm, profile, n: int | None = None,
-                          points_per_wavelength: int = 20) -> ResolventSample:
+def quasimode_lower_bound(qm, profile, n: int | None = None) -> ResolventSample:
     """Lower bound |u| / |P u| obtained by feeding a stored quasimode to P.
 
     Evaluated at the real part of the quasimode frequency on the scanner's
@@ -259,9 +247,9 @@ def quasimode_lower_bound(qm, profile, n: int | None = None,
     """
     q = float(qm.q.real)
     if n is None:
-        n_layer = int(math.ceil(points_per_wavelength * 2.0 * qm.b / qm.s))
-        n = max(4000, min_grid_size(q, qm.m, qm.b, points_per_wavelength), n_layer)
-    op = assemble_reduced_operator(q, qm.m, profile, n, points_per_wavelength)
+        n_layer = int(math.ceil(20 * 2.0 * qm.b / qm.s))   # 20 points per layer width
+        n = max(4000, min_grid_size(q, qm.m, qm.b), n_layer)
+    op = assemble_reduced_operator(q, qm.m, profile, n)
     u = qm.evaluate(op.x)
     Pu = op.matrix @ u
     bound = float(np.linalg.norm(u) / np.linalg.norm(Pu))

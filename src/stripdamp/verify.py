@@ -445,10 +445,10 @@ def check_resolvent_band(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRep
     return rep
 
 
-def check_resolvent_w0_control(thresholds=DEFAULT_THRESHOLDS, b: float = 3.0) -> StageReport:
+def check_resolvent_w0_control(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
     """Undamped operator: 1/norm equals the distance to the discrete spectrum."""
     rep = StageReport()
-    n = 4000
+    b, n = 3.0, 4000
     q, m = 11.0, 3
     zero = UniformDamping(0.0, b)
     samp = resolvent.resolvent_norm(q, m, zero, n)
@@ -466,10 +466,10 @@ def check_resolvent_w0_control(thresholds=DEFAULT_THRESHOLDS, b: float = 3.0) ->
     return rep
 
 
-def check_resolvent_gcc_control(b: float = 3.0) -> StageReport:
+def check_resolvent_gcc_control() -> StageReport:
     """Damping bounded below: resolvent stays bounded along the real axis."""
     rep = StageReport()
-    gcc = UniformDamping(1.0, b)
+    gcc = UniformDamping(1.0, 3.0)
     qs = np.geomspace(20.0, 640.0, 6)
     scan = resolvent.scan_and_fit(qs, gcc)
     rep.checks.append(Check(
@@ -480,13 +480,14 @@ def check_resolvent_gcc_control(b: float = 3.0) -> StageReport:
     return rep
 
 
-def time_pinned_resolvent_scan(beta: float, n: int = 4000, b: float = 3.0):
-    """Runtime reference: generic scan at the fixed grid size n.
+def time_pinned_resolvent_scan(beta: float):
+    """Runtime reference: generic scan at the fixed grid size n = 4000.
 
     The fixed grid resolves frequencies up to about n pi / (20 b), so the scan
     covers whatever part of [6, 200] that allows; returns (elapsed, result).
     """
     cfg = default_config(beta)
+    n, b = 4000, cfg.profile.b
     q_max = min(200.0, n * math.pi / (20.0 * b) * 0.999)
     qs = np.geomspace(6.3, q_max, 12)
     t0 = time.perf_counter()
@@ -578,12 +579,12 @@ def check_conservation_and_gcc(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
 # ---------------------------------------------------------------------------
 # criterion 9: cross-validation of the two root parametrizations
 
-def check_crossval(thresholds=DEFAULT_THRESHOLDS, count: int = 10, seed: int = 20240807) -> StageReport:
+def check_crossval(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
     rep = StageReport()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240807)
     worst = 0.0
     rows = []
-    for _ in range(count):
+    for _ in range(10):
         beta = float(rng.uniform(0.4, 2.5))
         l = int(rng.integers(1, 3))
         ctx = eigen.build_context(beta, 1.0, l, BC_DIRICHLET)
@@ -598,7 +599,7 @@ def check_crossval(thresholds=DEFAULT_THRESHOLDS, count: int = 10, seed: int = 2
         "Newton root equals raw matching root",
         worst <= thresholds["crossval_mu_tol"],
         f"max |mu difference| = {worst:.2e}",
-        f"<= {thresholds['crossval_mu_tol']:.0e} over {count} random draws",
+        f"<= {thresholds['crossval_mu_tol']:.0e} over 10 random draws",
     ))
     rep.rows["crossval"] = rows
     return rep

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from stripdamp import cli, verify
+from stripdamp import cap, cli, verify
 
 CONFIG = """
 beta = 1.0
@@ -107,6 +107,7 @@ class TestInputChecks:
 
         monkeypatch.setattr(verify, "resolvent_scan", boom)
         monkeypatch.setattr(verify, "verify_all", boom)
+        monkeypatch.setattr(cap, "boundary_pair", boom)
 
     @pytest.mark.parametrize("branches, message", [
         ("192", "at least two"),
@@ -121,6 +122,42 @@ class TestInputChecks:
         assert message in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eigen-sweep", "--h-min", "0.005"], "--h-min and --h-max go together"),
+        (["eigen-sweep", "--h-max", "0.02"], "--h-min and --h-max go together"),
+        (["eigen-sweep", "--h-max", "0.005", "--h-min", "0.02"], "need 0 < --h-min < --h-max"),
+        (["eigen-sweep", "--points", "1"], "--points must be at least 2"),
+        (["evolve", "--m", "0"], "--m must be positive"),
+        (["evolve", "--dt", "-0.001"], "--dt must be positive"),
+        (["evolve", "--T", "0"], "--T must be positive"),
+        (["cap-solve", "--stride", "0"], "--stride must be positive"),
+    ])
+    def test_bad_solver_options_rejected(self, tmp_path, cfg_file, capsys, no_work,
+                                         argv, message):
+        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out")] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("times, argv, message", [
+        (range(1, 21), ["--e-col", "X"], "has no column 'X'"),
+        (range(1, 6), [], "fit window too small"),
+        (range(10, 21), [], "need a decade"),
+        (range(0), [], "the trace is empty"),
+    ])
+    def test_fit_rejects_bad_column_and_short_window(self, tmp_path, capsys,
+                                                     times, argv, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,E\n" + "".join(f"{t},{1.0 / t}\n" for t in times),
+                         encoding="utf-8")
+        rc = cli.main(["fit", "--input", str(trace)] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_verify_all_rejects_geometry_it_would_ignore(self, tmp_path, capsys, no_work):
         cfg = tmp_path / "sigma.cfg"

@@ -3,7 +3,7 @@ import pytest
 
 from stripdamp import eigen, evolve, quasimode, verify
 from stripdamp.errors import InstabilityError
-from stripdamp.model import UniformDamping, select_h
+from stripdamp.model import UniformDamping, interior_grid, select_h
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +14,7 @@ def qm(profile1, cutoff):
 
 
 def bump_state(n, b=3.0, m=3):
-    x = evolve.make_grid(b, n)
+    x, _ = interior_grid(b, n)
     u = np.exp(-4 * x**2) * (1 + 0.2j)
     return evolve.WaveState(u=u, v=np.zeros_like(u), m=m, b=b)
 
@@ -32,7 +32,7 @@ class TestScheme:
         # the bump sits inside the damped region so the per-step dissipation
         # dwarfs the rounding of the energy evaluations
         n = 400
-        x = evolve.make_grid(3.0, n)
+        x, _ = interior_grid(3.0, n)
         u = np.exp(-6 * (np.abs(x) - 1.8) ** 2) * (1 + 0.2j)
         state = evolve.WaveState(u=u, v=(3.0 + 1.0j) * u, m=3, b=3.0)
         trace, states = evolve.evolve(state, profile1, dt=1e-3, T=0.02,

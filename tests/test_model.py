@@ -182,3 +182,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             config_from_dict({"a": 1.0, "sigma": 1.5, "b": 3.0, "delta": 0.4})
         assert "b - 2*delta" in str(exc.value)
+
+    @pytest.mark.parametrize("text, bad", [
+        ("m_list = [64.7, 128]", "64.7"),
+        ("m_list = [true, 128]", "True"),
+        ("m_list = 64", "64"),
+    ])
+    def test_m_list_entries_pass_unchanged_and_non_integers_are_rejected(self, text, bad):
+        # entries are not coerced: 64.7 must not load as 64, nor true as 1
+        with pytest.raises(ConfigError, match="m_list") as exc:
+            config_from_dict(parse_config_text(text))
+        assert f"got {bad}" in str(exc.value)

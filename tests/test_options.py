@@ -1,0 +1,189 @@
+"""Every defaulted parameter of the library is set by at least one caller.
+
+A keyword option that no call site in ``src/``, ``tests/`` or
+``stripbench/`` ever passes is a constant in disguise: it doubles the
+configurations a reader must consider without any caller needing the second
+one. This test parses the package and every caller, and fails on each
+defaulted parameter nobody passes, unless ``ALLOWED`` names it with a reason.
+
+Call sites are matched to definitions by name only (``f(...)`` and
+``obj.f(...)`` both match every ``def f``), so same-named functions share
+their callers; that errs toward counting a parameter as used. A keyword
+argument counts for its name, a positional argument for the parameter in its
+place (after ``self`` or ``cls`` for methods called through an attribute),
+``*args`` for every remaining positional parameter and ``**mapping`` for
+every parameter.
+
+Forwarding is not a use by itself. Inside the package, an argument that is
+a defaulted parameter of an enclosing function, never reassigned there,
+sets the callee's parameter only if some caller sets the enclosing one; and
+``**kwargs`` passed on from an enclosing ``**kwargs`` sets only the keywords
+that callers of the enclosing function pass into it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stripdamp"
+CALLER_DIRS = (ROOT / "src", ROOT / "tests", ROOT / "stripbench")
+
+# (module, function, parameter) kept although no call site sets it
+ALLOWED = {
+    # stripbench/tracing.py binds find_eigenvalue's arguments and reads
+    # max_iter to count runs that iterate to the limit
+    ("eigen", "find_eigenvalue", "max_iter"): "read by the benchmark's tracer",
+    # independent oracles keep their own tolerances, untouched by design
+    ("cap", "boundary_value_by_shooting", "L"): "independent oracle",
+    ("cap", "boundary_value_by_shooting", "rtol"): "independent oracle",
+    ("eigen", "raw_compatibility_root", "tol"): "independent oracle",
+    ("eigen", "raw_compatibility_root", "max_iter"): "independent oracle",
+}
+
+
+class _Def:
+    """Signature facts of one function defined in the package."""
+
+    def __init__(self, module: str, fn: ast.FunctionDef, in_class: bool):
+        args = fn.args
+        self.key = (module, fn.name)
+        self.positional = [a.arg for a in args.posonlyargs + args.args]
+        self.named = set(self.positional) | {a.arg for a in args.kwonlyargs}
+        self.defaulted = set(self.positional[len(self.positional) - len(args.defaults):]
+                             if args.defaults else ())
+        self.defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None}
+        self.varkw = args.kwarg.arg if args.kwarg else None
+        self.is_method = in_class and self.positional[:1] in (["self"], ["cls"])
+        self.assigned = {n.id for n in ast.walk(fn)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _parse_all():
+    """path -> syntax tree of every file the scan reads, each parsed once."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for directory in CALLER_DIRS for path in sorted(directory.rglob("*.py"))}
+
+
+def _package_functions(trees):
+    """Top-level functions and methods of every package module, in order."""
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            members = [(node, False)]
+            if isinstance(node, ast.ClassDef):
+                members = [(n, True) for n in node.body]
+            for fn, in_class in members:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield path.stem, fn, in_class
+
+
+def _definitions(trees):
+    """name -> list of _Def, plus id(FunctionDef node) -> _Def."""
+    by_name, by_node = {}, {}
+    for module, fn, in_class in _package_functions(trees):
+        d = _Def(module, fn, in_class)
+        by_name.setdefault(fn.name, []).append(d)
+        by_node[id(fn)] = d
+    return by_name, by_node
+
+
+class _CallScan(ast.NodeVisitor):
+    """Collects (callee parameter key, condition key or None) for each use."""
+
+    def __init__(self, by_name, by_node):
+        self.by_name, self.by_node = by_name, by_node
+        self.stack: list[ast.FunctionDef] = []
+        self.uses: list[tuple] = []
+
+    def _visit_function(self, node):
+        self.stack.append(node)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
+
+    def _condition(self, value):
+        """Key an argument value depends on when it forwards an enclosing option."""
+        if not isinstance(value, ast.Name):
+            return None
+        for fn in reversed(self.stack):
+            d = self.by_node.get(id(fn))
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args
+                      + fn.args.kwonlyargs}
+            if value.id not in params:
+                continue
+            if d is not None and value.id in d.defaulted and value.id not in d.assigned:
+                return d.key + (value.id,)
+            return None
+        return None
+
+    def _varkw_owner(self, value):
+        """The enclosing package function whose **kwargs this value is."""
+        if not isinstance(value, ast.Name):
+            return None
+        for fn in reversed(self.stack):
+            d = self.by_node.get(id(fn))
+            if d is not None and d.varkw == value.id:
+                return d
+        return None
+
+    def visit_Call(self, call):
+        self.generic_visit(call)
+        func = call.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        for d in self.by_name.get(name, ()):
+            params = d.positional[1:] if d.is_method and isinstance(func, ast.Attribute) \
+                else d.positional
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    self.uses += [(d.key + (p,), None) for p in params[i:]]
+                    break
+                if i < len(params):
+                    self.uses.append((d.key + (params[i],), self._condition(arg)))
+            for kw in call.keywords:
+                if kw.arg is None:
+                    owner = self._varkw_owner(kw.value)
+                    for p in d.named:
+                        cond = None if owner is None else owner.key + ("**" + p,)
+                        self.uses.append((d.key + (p,), cond))
+                elif kw.arg in d.named:
+                    self.uses.append((d.key + (kw.arg,), self._condition(kw.value)))
+                elif d.varkw:
+                    # lands in **kwargs; only a forward of it can use it
+                    self.uses.append((d.key + ("**" + kw.arg,),
+                                      self._condition(kw.value)))
+
+
+def unused_options():
+    trees = _parse_all()
+    by_name, by_node = _definitions(trees)
+    scan = _CallScan(by_name, by_node)
+    for tree in trees.values():
+        scan.visit(tree)
+    used, grew = set(), True
+    while grew:
+        before = len(used)
+        used |= {key for key, cond in scan.uses if cond is None or cond in used}
+        grew = len(used) > before
+    options = {d.key + (p,) for defs in by_name.values() for d in defs for p in d.defaulted}
+    return sorted(options - used)
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unused = [k for k in unused_options() if k not in ALLOWED]
+    assert not unused, (
+        "defaulted parameters no call site sets (make them constants, or "
+        "allow them with a reason): "
+        + ", ".join(f"{m}.{f}({p})" for m, f, p in unused)
+    )
+
+
+def test_allowlist_names_only_unused_parameters():
+    # an entry whose parameter is gone or is now set by a caller is stale
+    stale = sorted(set(ALLOWED) - set(unused_options()))
+    assert not stale, f"stale allowlist entries: {stale}"
