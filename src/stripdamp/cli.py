@@ -86,21 +86,6 @@ def _check_pinned_geometry(cfg):
                              "the config sets " + ", ".join(differ))
 
 
-def _read_thresholds(path) -> dict:
-    """Threshold overrides from a key = value file, checked before any stage runs."""
-    text = Path(path).read_text(encoding="utf-8")
-    out = parse_config_text(text, keys=verify.DEFAULT_THRESHOLDS)
-    for key, value in out.items():
-        # tail_levels takes a list of numbers, every other threshold one number
-        listed = isinstance(verify.DEFAULT_THRESHOLDS[key], tuple)
-        items = value if listed else [value]
-        if not (isinstance(items, list) and items and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)):
-            kind = "a list of numbers" if listed else "a number"
-            raise StripDampError(f"threshold {key} must be {kind} (got {value!r})")
-    return out
-
-
 def _require_positive(args, *names):
     """Refuse a given option that is not a positive number, before any solve."""
     for name in names:
@@ -203,7 +188,7 @@ def cmd_resolvent_scan(args):
         raise StripDampError(
             "no default resolvent branches for this beta; pass --branches m1,m2,..."
         )
-    scan, _ = verify.resolvent_scan(cfg, branches, n_cap=args.n_cap)
+    scan, _ = verify.resolvent_scan(cfg, branches)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = write_csv(out / "resolvent_scan.csv", verify.resolvent_rows(scan.samples))
@@ -276,9 +261,6 @@ def cmd_verify_all(args):
             f"verify-all carries pinned windows only for beta in {sorted(verify.EIGEN_H_WINDOWS)}"
         )
     _check_pinned_geometry(cfg)
-    thresholds = dict(verify.DEFAULT_THRESHOLDS)
-    if args.tolerance_file:
-        thresholds.update(_read_thresholds(args.tolerance_file))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_paths = {}
@@ -288,7 +270,7 @@ def cmd_verify_all(args):
     try:
         # artifacts flush after every stage, so a failure later in the
         # pipeline leaves everything already computed on disk
-        for name, report in verify.verify_all(beta, thresholds):
+        for name, report in verify.verify_all(beta):
             for table, rows in report.rows.items():
                 p = write_csv(out / f"{name}_{table}.csv", rows)
                 stage_paths.setdefault(name, []).append(p)
@@ -303,7 +285,7 @@ def cmd_verify_all(args):
     lines.append("RESULT: " + ("PASS" if all_passed else "FAIL"))
     summary = out / "summary.txt"
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, args.config, thresholds, stage_paths)
+    write_manifest(out, args.config, verify.THRESHOLDS, stage_paths)
     print("\n".join(lines))
     print(f"\nwrote {summary}")
     if failure is not None:
@@ -319,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out-dir", default="out", help="artifact directory")
     p.add_argument("--beta-override", type=float, default=None)
-    p.add_argument("--tolerance-file", default=None,
-                   help="key = value overrides for acceptance thresholds")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("cap-solve", help="half-line boundary problem at one eta")
@@ -343,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("resolvent-scan", help="peak-aligned resolvent norms")
     s.add_argument("--branches", default=None, help="comma-separated m values")
-    s.add_argument("--n-cap", type=int, default=None, help="pin the grid size")
     s.add_argument("--dump-operator", action="store_true",
                    help="matrix-market dump of the first assembled operator")
     s.set_defaults(fn=cmd_resolvent_scan)

@@ -37,7 +37,7 @@ class ResolutionError(StripDampError, ValueError):
 
 
 class RootFindError(StripDampError, RuntimeError):
-    """Newton or secant iteration failed to converge."""
+    """An iteration (Newton, secant or Lanczos) failed to converge."""
 
 
 class InstabilityError(StripDampError, RuntimeError):

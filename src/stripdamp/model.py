@@ -245,10 +245,10 @@ class RunConfig:
 _CONFIG_KEYS = {"beta", "a", "sigma", "b", "delta", "join", "bc", "l", "m_list"}
 
 
-def parse_config_text(text: str, keys=_CONFIG_KEYS) -> dict:
+def parse_config_text(text: str) -> dict:
     """Parse 'key = value' lines; values in JSON syntax, '#" starts a comment.
 
-    Keys outside `keys` are rejected.
+    Keys outside the nine configuration keys are rejected.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -258,7 +258,7 @@ def parse_config_text(text: str, keys=_CONFIG_KEYS) -> dict:
         if "=" not in line:
             raise ConfigError([f"line {lineno}: expected 'key = value' (got {raw!r})"])
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in keys:
+        if key not in _CONFIG_KEYS:
             raise ConfigError([f"line {lineno}: unknown key {key!r}"])
         try:
             out[key] = json.loads(value)

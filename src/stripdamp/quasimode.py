@@ -94,6 +94,7 @@ class Quasimode:
     # measured quantities
     norm: float             # L2 norm of u on (0, b)
     residual: float         # relative residual of the reduced operator
+    inner_residual: float   # its part on x < a + sigma, same normalization
     tail: float             # mass ratio beyond a + sigma
 
     @property
@@ -237,7 +238,9 @@ def build_quasimode(
     Wx = profile.damping(X)
     upp = d2phi * v + 2.0 * dphi * dv + phi * d2v
     R = -upp + 1j * q * Wx * u + coef * u
-    residual = float(math.sqrt(np.sum(W * np.abs(R) ** 2) / norm_sq))
+    R_sq = W * np.abs(R) ** 2
+    residual = float(math.sqrt(np.sum(R_sq) / norm_sq))
+    inner_residual = float(math.sqrt(np.sum(R_sq[~tail_sel]) / norm_sq))
 
     return Quasimode(
         eig=eig, m=m, q=q, h=h, h2=h2, s=s,
@@ -246,7 +249,8 @@ def build_quasimode(
         phi=phi, dphi=dphi, d2phi=d2phi,
         y_cap=y_eval[::stride].copy(), F_cap=F_eval[::stride].copy(),
         B_eval=complex(v_at_a[0]) / F_eval[0],
-        norm=math.sqrt(norm_sq), residual=residual, tail=tail,
+        norm=math.sqrt(norm_sq), residual=residual,
+        inner_residual=inner_residual, tail=tail,
     )
 
 

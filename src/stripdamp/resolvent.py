@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ResolutionError
+from .errors import ResolutionError, RootFindError
 from .fits import FitResult, loglog_fit
 from .model import interior_grid
 from .quasimode import ansatz_params
@@ -70,15 +70,14 @@ class ReducedOperator:
         return self.matrix.diagonal().real
 
 
-def assemble_reduced_operator(q: float, m: int, profile, n: int,
-                              points_per_wavelength: int = 20) -> ReducedOperator:
+def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
     """Second-order finite-difference operator on the interior of (-b, b)."""
     b = profile.b
-    need = min_grid_size(q, m, b, points_per_wavelength)
+    need = min_grid_size(q, m, b)
     if n < need:
         raise ResolutionError(
             f"n = {n} under-resolves (q = {q}, m = {m}): need at least {need} "
-            f"points ({points_per_wavelength} per effective wavelength)"
+            "points (20 per effective wavelength)"
         )
     x, dx = interior_grid(b, n)
     W = profile.damping(x)
@@ -117,28 +116,22 @@ def _smallest_singular_value(A: sp.csc_matrix, tol: float, v0=None, want_vector=
 
 
 def resolvent_norm(q: float, m: int, profile, n: int, *,
-                   tol: float = 1e-9, points_per_wavelength: int = 20,
-                   v0=None, want_vector: bool = False):
+                   tol: float = 1e-9, v0=None, want_vector: bool = False):
     """1 / sigma_min of the assembled operator, as a ResolventSample.
 
-    Falls back to a dense SVD (with a warning) if the iteration stagnates and
-    the system is small enough for that to be sane. A starting vector v0
-    warm-starts the Lanczos iteration; want_vector additionally returns the
-    minimal singular vector for chained calls.
+    Raises RootFindError if the Lanczos iteration does not converge. A
+    starting vector v0 warm-starts the iteration; want_vector additionally
+    returns the minimal singular vector for chained calls.
     """
-    op = assemble_reduced_operator(q, m, profile, n, points_per_wavelength)
-    vec = None
+    op = assemble_reduced_operator(q, m, profile, n)
     try:
         out = _smallest_singular_value(op.matrix, tol, v0=v0, want_vector=want_vector)
-        smin, vec = out if want_vector else (out, None)
-    except (spla.ArpackNoConvergence, RuntimeError):
-        if n > 3000:
-            raise
-        warnings.warn(
-            f"shift-invert iteration stagnated at (q={q}, m={m}); "
-            "falling back to dense SVD", RuntimeWarning, stacklevel=2,
-        )
-        smin = float(np.linalg.svd(op.matrix.toarray(), compute_uv=False)[-1])
+    except RuntimeError as exc:  # ArpackNoConvergence, or a singular factor
+        raise RootFindError(
+            f"Lanczos iteration for sigma_min failed at (q, m, n) = "
+            f"({q!r}, {m}, {n}): {exc}"
+        ) from exc
+    smin, vec = out if want_vector else (out, None)
     samp = ResolventSample(q=float(q), m=int(m), norm=1.0 / smin, n=int(n))
     return (samp, vec) if want_vector else samp
 
@@ -181,8 +174,7 @@ def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
     return ScanResult(samples=samples, fit=fit)
 
 
-def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20,
-               n_cap: int | None = None, tol: float = 1e-9) -> ScanResult:
+def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20) -> ScanResult:
     """Resolvent norm maximized locally around each predicted peak.
 
     For each branch the peak sits at Re q of the constructed quasimode
@@ -190,34 +182,26 @@ def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20,
     halfwidth about |Im q| along the real axis. Three golden-section steps
     in q sharpen the peak value. Grid sizes follow the effective
     wavenumber over the modes within 3 of resonance plus the
-    boundary-layer scale of the expected minimal singular vector, unless
-    n_cap pins them.
+    boundary-layer scale of the expected minimal singular vector.
     """
     b = profile.b
     samples = []
     for eig in eigs:
         q, m = ansatz_params(eig, b)
         q_pred, width = float(q.real), max(abs(q.imag), 1e-12 * q.real)
-        if n_cap is not None:
-            n = n_cap
-        else:
-            n_osc = max(min_grid_size(q_pred, mm, b, points_per_wavelength)
-                        for mm in _m_window(q_pred, b))
-            layer = eig.h ** (2.0 / (eig.beta + 2.0))
-            n_layer = int(math.ceil(points_per_wavelength * 2.0 * b / layer))
-            n = max(4000, n_osc, n_layer)
-        best = resolvent_norm(q_pred, m, profile, n, tol=tol,
-                              points_per_wavelength=points_per_wavelength)
+        n_osc = max(min_grid_size(q_pred, mm, b, points_per_wavelength)
+                    for mm in _m_window(q_pred, b))
+        layer = eig.h ** (2.0 / (eig.beta + 2.0))
+        n_layer = int(math.ceil(points_per_wavelength * 2.0 * b / layer))
+        n = max(4000, n_osc, n_layer)
+        best = resolvent_norm(q_pred, m, profile, n)
         lo, hi = q_pred - 2.0 * width, q_pred + 2.0 * width
         carry = {"v0": None}
 
         def norm_at(qq):
-            samp, vec = resolvent_norm(
-                qq, m, profile, n, tol=tol,
-                points_per_wavelength=points_per_wavelength,
-                v0=carry["v0"], want_vector=True)
-            if vec is not None:
-                carry["v0"] = vec
+            samp, vec = resolvent_norm(qq, m, profile, n, v0=carry["v0"],
+                                       want_vector=True)
+            carry["v0"] = vec
             return samp.norm
 
         for _ in range(3):
@@ -228,9 +212,8 @@ def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20,
             else:
                 lo = qa
         q_star = 0.5 * (lo + hi)
-        polished, _ = resolvent_norm(q_star, m, profile, n, tol=tol,
-                                     points_per_wavelength=points_per_wavelength,
-                                     v0=carry["v0"], want_vector=True)
+        polished, _ = resolvent_norm(q_star, m, profile, n, v0=carry["v0"],
+                                     want_vector=True)
         if polished.norm < best.norm:
             polished = best
         samples.append(polished)

@@ -25,13 +25,14 @@ from .model import (
     DampingProfile,
     RunConfig,
     UniformDamping,
+    interior_grid,
     select_h,
 )
 
 BETAS = (0.0, 1.0, 2.0)
 
-# fixed tolerances; verify-all can override via a threshold file
-DEFAULT_THRESHOLDS = {
+# fixed tolerances of every check; manifest.json records them
+THRESHOLDS = {
     "airy_rtol": 1e-6,
     "airy_budget_s": 1.0,
     "neumann_beta2_tol": 1e-5,
@@ -194,7 +195,7 @@ def airy_boundary_value() -> complex:
 # ---------------------------------------------------------------------------
 # criterion 1 and 2: solver oracles
 
-def check_cap_oracle(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_cap_oracle() -> StageReport:
     rep = StageReport()
     t0 = time.perf_counter()
     sol = cap.solve_cap(0.0, 1.0)
@@ -203,32 +204,32 @@ def check_cap_oracle(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
     rel = abs(sol.boundary_value - exact) / abs(exact)
     rep.checks.append(Check(
         "cap boundary value vs Airy closed form",
-        rel <= thresholds["airy_rtol"],
+        rel <= THRESHOLDS["airy_rtol"],
         f"rel err {rel:.2e} in {elapsed:.2f}s",
-        f"<= {thresholds['airy_rtol']:.0e} in < {thresholds['airy_budget_s']}s",
+        f"<= {THRESHOLDS['airy_rtol']:.0e} in < {THRESHOLDS['airy_budget_s']}s",
     ))
     rep.checks.append(Check(
         "cap oracle runtime",
-        elapsed < thresholds["airy_budget_s"],
-        f"{elapsed:.2f}s", f"< {thresholds['airy_budget_s']}s",
+        elapsed < THRESHOLDS["airy_budget_s"],
+        f"{elapsed:.2f}s", f"< {THRESHOLDS['airy_budget_s']}s",
     ))
     return rep
 
 
-def check_neumann_oracles(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_neumann_oracles() -> StageReport:
     rep = StageReport()
     g2 = cap.neumann_ground(2.0)
     rep.checks.append(Check(
         "Neumann ground level, quadratic potential",
-        abs(g2.value - 1.0) <= thresholds["neumann_beta2_tol"],
-        f"{g2.value:.8f}", f"1 within {thresholds['neumann_beta2_tol']:.0e}",
+        abs(g2.value - 1.0) <= THRESHOLDS["neumann_beta2_tol"],
+        f"{g2.value:.8f}", f"1 within {THRESHOLDS['neumann_beta2_tol']:.0e}",
     ))
     g1 = cap.neumann_ground(1.0)
     rep.checks.append(Check(
         "Neumann ground level, linear potential",
-        abs(g1.value - AI_PRIME_FIRST_ZERO) <= thresholds["neumann_beta1_tol"],
+        abs(g1.value - AI_PRIME_FIRST_ZERO) <= THRESHOLDS["neumann_beta1_tol"],
         f"{g1.value:.8f}",
-        f"{AI_PRIME_FIRST_ZERO:.6f} within {thresholds['neumann_beta1_tol']:.0e}",
+        f"{AI_PRIME_FIRST_ZERO:.6f} within {THRESHOLDS['neumann_beta1_tol']:.0e}",
     ))
     return rep
 
@@ -247,7 +248,7 @@ def eigen_scaling_data(beta: float):
     return ctx, sols, elapsed
 
 
-def check_eigen_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_eigen_scaling(beta: float) -> StageReport:
     rep = StageReport()
     ctx, sols, elapsed = eigen_scaling_data(beta)
     hs = np.array([s.h for s in sols])
@@ -256,8 +257,8 @@ def check_eigen_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRepo
     expected = (beta + 4.0) / (beta + 2.0)
     rep.checks.append(Check(
         f"eigenvalue gap h-exponent (beta={beta:g})",
-        abs(fit.slope - expected) <= thresholds["lambda_slope_tol"],
-        f"{fit.slope:.4f}", f"{expected:.4f} +- {thresholds['lambda_slope_tol']}",
+        abs(fit.slope - expected) <= THRESHOLDS["lambda_slope_tol"],
+        f"{fit.slope:.4f}", f"{expected:.4f} +- {THRESHOLDS['lambda_slope_tol']}",
     ))
     K = ctx.K_bound
     worst = max(abs(s.C_h) for s in sols)
@@ -268,8 +269,8 @@ def check_eigen_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRepo
     ))
     rep.checks.append(Check(
         f"eigen sweep runtime (beta={beta:g})",
-        elapsed < thresholds["eigen_budget_s"],
-        f"{elapsed:.1f}s", f"< {thresholds['eigen_budget_s']}s",
+        elapsed < THRESHOLDS["eigen_budget_s"],
+        f"{elapsed:.1f}s", f"< {THRESHOLDS['eigen_budget_s']}s",
     ))
     rep.rows["eigen_sweep"] = eigen_rows(sols)
     return rep
@@ -285,7 +286,7 @@ def mode_scaling_data(beta: float):
             for m, sol in mode_branch(cfg, MODE_SWEEP_M[beta])]
 
 
-def check_frequency_placement(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_frequency_placement(beta: float) -> StageReport:
     rep = StageReport()
     data = mode_scaling_data(beta)
     re_q = np.array([q.real for (_, _, (q, _)) in data])
@@ -297,8 +298,8 @@ def check_frequency_placement(beta: float, thresholds=DEFAULT_THRESHOLDS) -> Sta
         note = "indicator-strip exponent -3/2, matching the known 2/3 decay rate"
     rep.checks.append(Check(
         f"Im q placement exponent (beta={beta:g})",
-        abs(fit.slope - expected) <= thresholds["imq_slope_tol"],
-        f"{fit.slope:.4f}", f"{expected:.4f} +- {thresholds['imq_slope_tol']}",
+        abs(fit.slope - expected) <= THRESHOLDS["imq_slope_tol"],
+        f"{fit.slope:.4f}", f"{expected:.4f} +- {THRESHOLDS['imq_slope_tol']}",
         note,
     ))
     rep.rows["mode_sweep"] = [
@@ -330,14 +331,15 @@ def quasimode_sweep_data(beta: float, which: str):
     return cfg, quasimode_sweep(cfg, m_list, cap_dx)
 
 
-def check_residual_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_residual_scaling(beta: float) -> StageReport:
     rep = StageReport()
     cfg, qms = quasimode_sweep_data(beta, "residual")
     re_q = np.array([qm.q.real for qm in qms])
     res = np.array([qm.residual for qm in qms])
     fit = loglog_fit(re_q, res)
-    target = thresholds["residual_slope_target"]
-    tol = thresholds["residual_slope_tol"]
+    target = THRESHOLDS["residual_slope_target"]
+    tol = THRESHOLDS["residual_slope_tol"]
+    inner = loglog_fit(re_q, [qm.inner_residual for qm in qms])
     construction = -(4.0 * beta + 7.0) / (2.0 * (beta + 2.0))
     rep.checks.append(Check(
         f"quasimode residual exponent (beta={beta:g})",
@@ -350,7 +352,8 @@ def check_residual_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageR
         f"residual matches the construction exponent (beta={beta:g})",
         abs(fit.slope - construction) <= 0.1,
         f"{fit.slope:.4f}", f"{construction:.4f} +- 0.1",
-        "exponent the glued-profile residual actually obeys",
+        "exponent the glued-profile residual actually obeys; "
+        f"the residual on x < a + sigma alone fits {inner.slope:.4f}",
     ))
     # the bound the construction provably satisfies: residual * Re q stays bounded
     bound_seq = res * re_q
@@ -364,14 +367,14 @@ def check_residual_scaling(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageR
     return rep
 
 
-def check_tail_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_tail_decay(beta: float) -> StageReport:
     rep = StageReport()
     cfg, qms = quasimode_sweep_data(beta, "tail")
     hs = np.array([qm.h for qm in qms])
     tails = np.array([qm.tail for qm in qms])
     ok = tails > 1e-280
     slopes = local_slopes(hs[ok], tails[ok])
-    levels = thresholds["tail_levels"]
+    levels = THRESHOLDS["tail_levels"]
     increasing = bool(np.all(np.diff(slopes) > 0)) if len(slopes) > 1 else False
     exceeds = all(np.any(slopes > N) for N in levels)
     staged = all(
@@ -399,8 +402,8 @@ def check_tail_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
         worst_id = max(worst_id, abs(lhs - rhs) / abs(rhs))
     rep.checks.append(Check(
         f"damping energy identity (beta={beta:g})",
-        worst_id <= thresholds["identity_rtol"],
-        f"rel defect {worst_id:.2e}", f"<= {thresholds['identity_rtol']:.0e}",
+        worst_id <= THRESHOLDS["identity_rtol"],
+        f"rel defect {worst_id:.2e}", f"<= {THRESHOLDS['identity_rtol']:.0e}",
     ))
     rep.rows["tail_sweep"] = [
         {"m": qm.m, "h": qm.h, "tail": qm.tail, "re_q": qm.q.real}
@@ -412,11 +415,11 @@ def check_tail_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
 # ---------------------------------------------------------------------------
 # criterion 7: resolvent scans
 
-def resolvent_scan(cfg: RunConfig, m_list, n_cap: int | None = None):
+def resolvent_scan(cfg: RunConfig, m_list):
     """Peak-aligned scan over the branches m_list; returns (scan, scan seconds)."""
     sols = [sol for _, sol in mode_branch(cfg, m_list)]
     t0 = time.perf_counter()
-    scan = resolvent.scan_peaks(sols, cfg.profile, n_cap=n_cap)
+    scan = resolvent.scan_peaks(sols, cfg.profile)
     return scan, time.perf_counter() - t0
 
 
@@ -426,11 +429,11 @@ def resolvent_scan_data(beta: float):
     return (cfg,) + resolvent_scan(cfg, RESOLVENT_BRANCH_M[beta])
 
 
-def check_resolvent_band(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_resolvent_band(beta: float) -> StageReport:
     rep = StageReport()
     cfg, scan, elapsed = resolvent_scan_data(beta)
-    lo = 1.0 / (beta + 2.0) - thresholds["resolvent_band_pad"]
-    hi = 2.0 / (beta + 2.0) + thresholds["resolvent_band_pad"]
+    lo = 1.0 / (beta + 2.0) - THRESHOLDS["resolvent_band_pad"]
+    hi = 2.0 / (beta + 2.0) + THRESHOLDS["resolvent_band_pad"]
     rep.checks.append(Check(
         f"resolvent growth exponent in band (beta={beta:g})",
         lo <= scan.fit.slope <= hi,
@@ -438,14 +441,14 @@ def check_resolvent_band(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRep
     ))
     rep.checks.append(Check(
         f"resolvent scan runtime (beta={beta:g})",
-        elapsed < thresholds["resolvent_budget_s"],
-        f"{elapsed:.0f}s", f"< {thresholds['resolvent_budget_s']:.0f}s",
+        elapsed < THRESHOLDS["resolvent_budget_s"],
+        f"{elapsed:.0f}s", f"< {THRESHOLDS['resolvent_budget_s']:.0f}s",
     ))
     rep.rows["resolvent_scan"] = resolvent_rows(scan.samples)
     return rep
 
 
-def check_resolvent_w0_control(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_resolvent_w0_control() -> StageReport:
     """Undamped operator: 1/norm equals the distance to the discrete spectrum."""
     rep = StageReport()
     b, n = 3.0, 4000
@@ -460,8 +463,8 @@ def check_resolvent_w0_control(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
     rel = abs(samp.norm - exact) / exact
     rep.checks.append(Check(
         "undamped resolvent vs self-adjoint distance formula",
-        rel <= thresholds["resolvent_w0_rtol"],
-        f"rel err {rel:.2e}", f"<= {thresholds['resolvent_w0_rtol']:.0e}",
+        rel <= THRESHOLDS["resolvent_w0_rtol"],
+        f"rel err {rel:.2e}", f"<= {THRESHOLDS['resolvent_w0_rtol']:.0e}",
     ))
     return rep
 
@@ -519,7 +522,7 @@ def evolve_decay_data(beta: float):
     return cfg, out
 
 
-def check_quasimode_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_quasimode_decay(beta: float) -> StageReport:
     rep = StageReport()
     cfg, runs = evolve_decay_data(beta)
     rows = []
@@ -529,9 +532,9 @@ def check_quasimode_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRe
         rel = abs(measured - expected) / expected
         rep.checks.append(Check(
             f"quasimode decay rate (beta={beta:g}, m={qm.m})",
-            rel <= thresholds["decay_rate_rtol"],
+            rel <= THRESHOLDS["decay_rate_rtol"],
             f"{measured:.5e} (rel err {rel:.2%})",
-            f"2 Im q = {expected:.5e} within {thresholds['decay_rate_rtol']:.0%}",
+            f"2 Im q = {expected:.5e} within {THRESHOLDS['decay_rate_rtol']:.0%}",
         ))
         rows.extend(
             {"m": qm.m, "t": t, "E": e}
@@ -541,30 +544,30 @@ def check_quasimode_decay(beta: float, thresholds=DEFAULT_THRESHOLDS) -> StageRe
     return rep
 
 
-def check_conservation_and_gcc(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_conservation_and_gcc() -> StageReport:
+    """Stepper controls on a fixed Gaussian bump, independent of beta."""
     rep = StageReport()
-    cfg, runs = evolve_decay_data(1.0)
-    qm = runs[0][0]
-    b = cfg.profile.b
-    n = 1200
-    state = evolve.quasimode_state(qm, n)
+    b, n = 3.0, 1200
+    x, _ = interior_grid(b, n)
+    u = np.exp(-4.0 * x**2) * (1 + 0.2j)
+    state = evolve.WaveState(u=u, v=np.zeros_like(u), m=3, b=b)
     zero = UniformDamping(0.0, b)
     trace = evolve.evolve(state, zero, dt=2e-3, T=40.0, stride=20)
     drift = float(np.max(np.abs(trace.energies / trace.energies[0] - 1.0)))
     rep.checks.append(Check(
         "undamped evolution conserves energy",
-        drift <= thresholds["conservation_rtol"],
+        drift <= THRESHOLDS["conservation_rtol"],
         f"max relative drift {drift:.2e}",
-        f"<= {thresholds['conservation_rtol']:.0e}",
+        f"<= {THRESHOLDS['conservation_rtol']:.0e}",
     ))
     gcc = UniformDamping(1.0, b)
     trace_gcc = evolve.evolve(state, gcc, dt=1e-3, T=60.0, stride=50)
     fit = evolve.fit_exponential_rate(trace_gcc, t_min=3.0)
     rep.checks.append(Check(
         "uniform damping gives straight log-energy",
-        fit.r2 >= thresholds["gcc_r2_floor"] and fit.slope < 0,
+        fit.r2 >= THRESHOLDS["gcc_r2_floor"] and fit.slope < 0,
         f"r^2 = {fit.r2:.5f}, rate {-fit.slope:.3f}",
-        f"r^2 >= {thresholds['gcc_r2_floor']} with negative slope",
+        f"r^2 >= {THRESHOLDS['gcc_r2_floor']} with negative slope",
     ))
     rate_fit = evolve.fit_decay(trace_gcc)
     rep.checks.append(Check(
@@ -579,7 +582,7 @@ def check_conservation_and_gcc(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
 # ---------------------------------------------------------------------------
 # criterion 9: cross-validation of the two root parametrizations
 
-def check_crossval(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
+def check_crossval() -> StageReport:
     rep = StageReport()
     rng = np.random.default_rng(20240807)
     worst = 0.0
@@ -597,9 +600,9 @@ def check_crossval(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
         rows.append({"beta": beta, "l": l, "h": h, "mu_gap": gap})
     rep.checks.append(Check(
         "Newton root equals raw matching root",
-        worst <= thresholds["crossval_mu_tol"],
+        worst <= THRESHOLDS["crossval_mu_tol"],
         f"max |mu difference| = {worst:.2e}",
-        f"<= {thresholds['crossval_mu_tol']:.0e} over 10 random draws",
+        f"<= {THRESHOLDS['crossval_mu_tol']:.0e} over 10 random draws",
     ))
     rep.rows["crossval"] = rows
     return rep
@@ -607,7 +610,7 @@ def check_crossval(thresholds=DEFAULT_THRESHOLDS) -> StageReport:
 
 # ---------------------------------------------------------------------------
 
-def verify_all(beta: float, thresholds=DEFAULT_THRESHOLDS):
+def verify_all(beta: float):
     """Full pipeline for one beta, yielded stage by stage.
 
     Yields (name, StageReport) as each stage completes so a driver can flush
@@ -615,18 +618,18 @@ def verify_all(beta: float, thresholds=DEFAULT_THRESHOLDS):
     yielded on disk.
     """
     stages = [
-        ("cap-oracle", lambda: check_cap_oracle(thresholds)),
-        ("neumann", lambda: check_neumann_oracles(thresholds)),
-        ("eigen", lambda: check_eigen_scaling(beta, thresholds)),
-        ("frequency", lambda: check_frequency_placement(beta, thresholds)),
-        ("residual", lambda: check_residual_scaling(beta, thresholds)),
-        ("tail", lambda: check_tail_decay(beta, thresholds)),
-        ("resolvent", lambda: check_resolvent_band(beta, thresholds)),
-        ("resolvent-w0", lambda: check_resolvent_w0_control(thresholds)),
+        ("cap-oracle", check_cap_oracle),
+        ("neumann", check_neumann_oracles),
+        ("eigen", functools.partial(check_eigen_scaling, beta)),
+        ("frequency", functools.partial(check_frequency_placement, beta)),
+        ("residual", functools.partial(check_residual_scaling, beta)),
+        ("tail", functools.partial(check_tail_decay, beta)),
+        ("resolvent", functools.partial(check_resolvent_band, beta)),
+        ("resolvent-w0", check_resolvent_w0_control),
         ("resolvent-gcc", check_resolvent_gcc_control),
-        ("evolve", lambda: check_quasimode_decay(beta, thresholds)),
-        ("evolve-controls", lambda: check_conservation_and_gcc(thresholds)),
-        ("crossval", lambda: check_crossval(thresholds)),
+        ("evolve", functools.partial(check_quasimode_decay, beta)),
+        ("evolve-controls", check_conservation_and_gcc),
+        ("crossval", check_crossval),
     ]
     for name, fn in stages:
         yield name, fn()

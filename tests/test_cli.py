@@ -68,6 +68,36 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert ("alpha-hat" in out) or ("inconclusive" in out)
 
+    def test_quasimode_sweep_dumps_profiles(self, tmp_path, cfg_file):
+        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                       "quasimode-sweep", "--dump-profiles"])
+        assert rc == 0
+        for m in (64, 128):
+            csv = (tmp_path / f"quasimode_profile_m{m}.csv").read_text().splitlines()
+            assert csv[0] == "x,re_u,im_u"
+            assert len(csv) == 4002
+
+    def test_resolvent_scan_dumps_operator(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "beta0.cfg"
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "resolvent-scan", "--branches", "192,384", "--dump-operator"])
+        assert rc == 0
+        assert "growth exponent" in capsys.readouterr().out
+        (mtx,) = tmp_path.glob("operator_q*_m192.mtx")
+        assert mtx.read_text().startswith("%%MatrixMarket matrix coordinate complex")
+        rows = (tmp_path / "resolvent_scan.csv").read_text().splitlines()
+        assert rows[0] == "q,m_star,norm,n,local_slope"
+        assert len(rows) == 3
+
+    def test_fit_reads_named_time_column(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        # E = t^-3, so alpha-hat = -slope / 2 = 1.5
+        trace.write_text("time,E\n" + "".join(f"{t},{t ** -3.0}\n" for t in range(1, 201)),
+                         encoding="utf-8")
+        rc = cli.main(["fit", "--input", str(trace), "--t-col", "time"])
+        assert rc == 0
+        assert "alpha-hat = 1.5000" in capsys.readouterr().out
+
     def test_beta_override(self, capsys, cfg_file):
         rc = cli.main(["--config", str(cfg_file), "--beta-override", "2",
                        "neumann"])
@@ -177,28 +207,15 @@ class TestInputChecks:
         ('tail_levels = [2.0, "x"]', "tail_levels must be a list of numbers"),
     ])
     def test_bad_tolerance_file(self, tmp_path, cfg_file, capsys, no_work, text, message):
+        # the thresholds are constants: --tolerance-file is refused by the
+        # parser, so the file is never read and its old message never shows
         tol = tmp_path / "tol.cfg"
         tol.write_text(text + "\n", encoding="utf-8")
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out"),
-                       "--tolerance-file", str(tol), "verify-all"])
-        assert rc == 2
-        assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out"),
+                      "--tolerance-file", str(tol), "verify-all"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert message not in err
         assert not (tmp_path / "out").exists()
-
-    def test_tolerance_file_overrides_thresholds(self, tmp_path, cfg_file, monkeypatch):
-        seen = {}
-
-        def no_stages(beta, thresholds):
-            seen.update(thresholds)
-            return iter(())
-
-        monkeypatch.setattr(verify, "verify_all", no_stages)
-        tol = tmp_path / "tol.cfg"
-        tol.write_text("airy_rtol = 1e-5  # looser\ntail_levels = [1, 2]\n",
-                       encoding="utf-8")
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
-                       "--tolerance-file", str(tol), "verify-all"])
-        assert rc == 0
-        assert seen["airy_rtol"] == 1e-5 and seen["tail_levels"] == [1, 2]
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["thresholds"]["airy_rtol"] == 1e-5

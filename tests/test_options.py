@@ -19,12 +19,18 @@ a defaulted parameter of an enclosing function, never reassigned there,
 sets the callee's parameter only if some caller sets the enclosing one; and
 ``**kwargs`` passed on from an enclosing ``**kwargs`` sets only the keywords
 that callers of the enclosing function pass into it.
+
+The command line follows the same rule: every option string of
+``cli.build_parser()`` must appear as a string literal in some test.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
+
+from stripdamp import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stripdamp"
@@ -187,3 +193,22 @@ def test_allowlist_names_only_unused_parameters():
     # an entry whose parameter is gone or is now set by a caller is stale
     stale = sorted(set(ALLOWED) - set(unused_options()))
     assert not stale, f"stale allowlist entries: {stale}"
+
+
+def _option_strings(parser):
+    """Every option string of parser and its subcommands, help aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from action.option_strings
+
+
+def test_every_cli_option_is_passed_by_a_test():
+    # the same rule for the command line: a flag no test passes is untested
+    passed = {node.value for path in sorted((ROOT / "tests").rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    untested = sorted(set(_option_strings(cli.build_parser())) - passed)
+    assert not untested, f"CLI options no test passes: {untested}"

@@ -158,6 +158,8 @@ class TestResidual:
                 split = math.hypot(_relative_norm(qm, R, inner),
                                    _relative_norm(qm, R, ~inner))
                 assert split == pytest.approx(qm.residual, rel=1e-12)
+                assert qm.inner_residual == pytest.approx(
+                    _relative_norm(qm, R, inner), rel=1e-12)
             inner_res = _relative_norm(qf, Rf, inner)
             assert _relative_norm(qs, Rs, inner) == pytest.approx(inner_res, rel=1e-12)
             assert qs.tail == pytest.approx(qf.tail, rel=1e-6)

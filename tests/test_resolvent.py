@@ -1,10 +1,12 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stripdamp import eigen, quasimode, resolvent, verify
-from stripdamp.errors import ResolutionError
+from stripdamp.errors import ResolutionError, StripDampError
 from stripdamp.model import UniformDamping, select_h
 
 
@@ -47,6 +49,18 @@ class TestAssembly:
                            op2.hermitian_part_diagonal())
         anti1 = op1.matrix.diagonal().imag
         assert np.allclose(anti1, q * profile1.damping(op1.x))
+
+    def test_lanczos_failure_raises(self, profile1, monkeypatch):
+        # no quiet second path to the norm: the package error names the point
+        def no_convergence(*args, **kwargs):
+            raise resolvent.spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(resolvent.spla, "eigsh", no_convergence)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StripDampError, match=r"\(q, m, n\) = \(9\.0, 3, 2000\)"):
+                resolvent.resolvent_norm(9.0, 3, profile1, n=2000)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_under_resolution_rejected(self, profile1):
         with pytest.raises(ResolutionError):
@@ -121,13 +135,16 @@ class TestPeakMode:
         profile, sols = branches
         tols = []
         norm = resolvent.resolvent_norm
+        signature = inspect.signature(norm)
 
         def spy(*args, **kwargs):
-            tols.append(kwargs["tol"])
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            tols.append(call.arguments["tol"])
             return norm(*args, **kwargs)
 
         monkeypatch.setattr(resolvent, "resolvent_norm", spy)
-        scan = resolvent.scan_peaks(sols, profile, tol=1e-9)
+        scan = resolvent.scan_peaks(sols, profile)
         assert [s.m for s in scan.samples] == list(self.MODES)
         assert [s.n for s in scan.samples] == [4000, 4000]
         assert set(tols) == {1e-9}
