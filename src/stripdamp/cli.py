@@ -9,7 +9,6 @@ CSVs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__, cap, eigen, evolve, quasimode, resolvent, verify
 from .errors import StripDampError
 from .fits import loglog_fit
-from .model import load_config, parse_config_text, select_h
+from .model import load_config, select_h
 
 
 def _fmt(v) -> str:
@@ -39,21 +38,12 @@ def write_csv(path: Path, rows: list) -> Path:
     return path
 
 
-def config_hash(path: Path | None) -> str:
-    if path is None:
-        return hashlib.sha256(b"<builtin-defaults>").hexdigest()
-    canon = json.dumps(parse_config_text(Path(path).read_text(encoding="utf-8")),
-                       sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def write_manifest(out_dir: Path, cfg_path, thresholds, stage_paths: dict) -> Path:
+def write_manifest(out_dir: Path, stage_paths: dict) -> Path:
     manifest = {
         "package_version": __version__,
-        "config_hash": config_hash(cfg_path),
-        "config_file": str(cfg_path) if cfg_path else None,
+        "betas": list(verify.BETAS),
         "thresholds": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in thresholds.items()},
+                       for k, v in verify.THRESHOLDS.items()},
         "artifacts": {k: [str(p) for p in v] for k, v in stage_paths.items()},
     }
     path = out_dir / "manifest.json"
@@ -71,19 +61,6 @@ def _load(args):
     if args.beta_override is not None:
         cfg = cfg.with_beta(float(args.beta_override))
     return cfg
-
-
-def _check_pinned_geometry(cfg):
-    """verify-all runs default_config(beta); refuse a config it would ignore."""
-    ref = verify.default_config(cfg.profile.beta)
-    fields = [(f, getattr(cfg.profile, f), getattr(ref.profile, f))
-              for f in ("a", "sigma", "b", "join")]
-    fields += [("delta", cfg.cutoff.delta, ref.cutoff.delta),
-               ("bc", cfg.bc, ref.bc), ("l", cfg.l, ref.l)]
-    differ = [f"{k} = {v!r} (verify-all runs {w!r})" for k, v, w in fields if v != w]
-    if differ:
-        raise StripDampError("verify-all runs the pinned geometry of each beta; "
-                             "the config sets " + ", ".join(differ))
 
 
 def _require_positive(args, *names):
@@ -254,23 +231,19 @@ def cmd_fit(args):
 
 
 def cmd_verify_all(args):
-    cfg = _load(args)
-    beta = cfg.profile.beta
-    if beta not in verify.EIGEN_H_WINDOWS:
-        raise StripDampError(
-            f"verify-all carries pinned windows only for beta in {sorted(verify.EIGEN_H_WINDOWS)}"
-        )
-    _check_pinned_geometry(cfg)
+    if args.config or args.beta_override is not None:
+        raise StripDampError("verify-all runs the pinned geometry of every beta in "
+                             f"{list(verify.BETAS)} and reads no config; "
+                             "drop --config and --beta-override")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_paths = {}
-    lines = [f"verify-all  beta = {beta:g}", ""]
+    lines = ["verify-all  beta = " + ", ".join(f"{b:g}" for b in verify.BETAS), ""]
     all_passed = True
-    failure = None
     try:
         # artifacts flush after every stage, so a failure later in the
         # pipeline leaves everything already computed on disk
-        for name, report in verify.verify_all(beta):
+        for name, report in verify.verify_all(*verify.BETAS):
             for table, rows in report.rows.items():
                 p = write_csv(out / f"{name}_{table}.csv", rows)
                 stage_paths.setdefault(name, []).append(p)
@@ -278,18 +251,15 @@ def cmd_verify_all(args):
                 lines.append(check.line())
                 all_passed &= check.passed
     except StripDampError as exc:
-        failure = exc
         lines.append(f"[FAIL] pipeline aborted: {exc}")
         all_passed = False
     lines.append("")
     lines.append("RESULT: " + ("PASS" if all_passed else "FAIL"))
     summary = out / "summary.txt"
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, args.config, verify.THRESHOLDS, stage_paths)
+    write_manifest(out, stage_paths)
     print("\n".join(lines))
     print(f"\nwrote {summary}")
-    if failure is not None:
-        return 1
     return 0 if all_passed else 1
 
 
@@ -339,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--e-col", default="E")
     s.set_defaults(fn=cmd_fit)
 
-    s = sub.add_parser("verify-all", help="full acceptance pipeline for one beta")
+    s = sub.add_parser("verify-all", help="full acceptance pipeline for beta = 0, 1 and 2")
     s.set_defaults(fn=cmd_verify_all)
     return p
 

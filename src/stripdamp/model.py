@@ -269,6 +269,11 @@ def parse_config_text(text: str) -> dict:
 
 def config_from_dict(d: dict) -> RunConfig:
     d = dict(d)
+    bad = [f"{k} must be a number (got {d[k]!r})"
+           for k in ("beta", "a", "sigma", "b", "delta", "l")
+           if k in d and (isinstance(d[k], bool) or not isinstance(d[k], (int, float)))]
+    if bad:
+        raise ConfigError(bad)
     profile = DampingProfile(
         beta=float(d.pop("beta", 1.0)),
         a=float(d.pop("a", 1.0)),

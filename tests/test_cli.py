@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from stripdamp import cap, cli, verify
+from stripdamp.errors import RootFindError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """
 beta = 1.0
@@ -78,7 +81,7 @@ class TestSubcommands:
             assert len(csv) == 4002
 
     def test_resolvent_scan_dumps_operator(self, tmp_path, capsys):
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "beta0.cfg"
+        cfg = ROOT / "configs" / "beta0.cfg"
         rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
                        "resolvent-scan", "--branches", "192,384", "--dump-operator"])
         assert rc == 0
@@ -113,18 +116,74 @@ class TestSubcommands:
         assert rc == 2
         assert "a + sigma < b" in capsys.readouterr().err
 
-    def test_manifest_and_hash(self, tmp_path, cfg_file):
-        stage_paths = {"demo": [tmp_path / "x.csv"]}
-        path = cli.write_manifest(tmp_path, cfg_file,
-                                  {"airy_rtol": 1e-6, "tail_levels": (2, 4, 6)},
-                                  stage_paths)
+    def test_manifest_records_betas_and_thresholds(self, tmp_path):
+        path = cli.write_manifest(tmp_path, {"demo": [tmp_path / "x.csv"]})
         manifest = json.loads(Path(path).read_text())
-        assert manifest["config_hash"] == cli.config_hash(cfg_file)
-        assert manifest["thresholds"]["tail_levels"] == [2, 4, 6]
-        # hash is content-based, stable under a byte-identical copy
-        copy = tmp_path / "copy.cfg"
-        copy.write_text(CONFIG, encoding="utf-8")
-        assert cli.config_hash(copy) == cli.config_hash(cfg_file)
+        assert manifest["betas"] == [0.0, 1.0, 2.0]
+        assert len(manifest["thresholds"]) == 22
+        assert manifest["thresholds"]["tail_levels"] == [2.0, 4.0, 6.0]
+        assert manifest["artifacts"] == {"demo": [str(tmp_path / "x.csv")]}
+        assert "config_hash" not in manifest and "config_file" not in manifest
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Replace every check of verify-all by a stub that records its call."""
+        calls = []
+
+        def stub(fn):
+            def check(*beta):
+                calls.append((fn,) + beta)
+                return verify.StageReport(
+                    checks=[verify.Check(f"{fn}{beta}", True, "1", "1")],
+                    rows={"t": [{"x": 1.0}]})
+            return check
+
+        for _, fn in verify.SHARED_STAGES + verify.BETA_STAGES:
+            monkeypatch.setattr(verify, fn, stub(fn))
+        return calls
+
+    def test_verify_all_runs_each_stage_once_per_beta(self, tmp_path, calls):
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out), "verify-all"]) == 0
+
+        shared = [fn for _, fn in verify.SHARED_STAGES]
+        per_beta = [fn for _, fn in verify.BETA_STAGES]
+        assert sorted(calls) == sorted([(fn,) for fn in shared] + [
+            (fn, beta) for fn in per_beta for beta in verify.BETAS])
+        names = [n for n, _ in verify.SHARED_STAGES] + [
+            f"{n}-beta{b:g}" for b in verify.BETAS for n, _ in verify.BETA_STAGES]
+        assert len(names) == 24
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["betas"] == list(verify.BETAS)
+        assert sorted(manifest["artifacts"]) == sorted(names)
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+            f"{n}_t.csv" for n in names)
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert len([line for line in summary if line.startswith("[PASS]")]) == 24
+        assert summary[-1] == "RESULT: PASS"
+
+        # one beta, as the benchmark's reference script calls it
+        calls.clear()
+        yielded = [(name, type(report)) for name, report in verify.verify_all(1.0)]
+        assert yielded == [(n, verify.StageReport) for n, _ in verify.SHARED_STAGES] + [
+            (f"{n}-beta1", verify.StageReport) for n, _ in verify.BETA_STAGES]
+        assert sorted(calls) == sorted([(fn,) for fn in shared] + [
+            (fn, 1.0) for fn in per_beta])
+
+    def test_verify_all_abort_keeps_what_ran(self, tmp_path, calls, monkeypatch):
+        def stalled(beta):
+            raise RootFindError("Newton stalled")
+
+        monkeypatch.setattr(verify, "check_tail_decay", stalled)
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out), "verify-all"]) == 1
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-3:] == ["[FAIL] pipeline aborted: Newton stalled", "",
+                                "RESULT: FAIL"]
+        # the shared stages and the beta = 0 stages before tail are on disk
+        assert len(calls) == 6 + 3
+        assert (out / "residual-beta0_t.csv").exists()
+        assert len(json.loads((out / "manifest.json").read_text())["artifacts"]) == 9
 
 
 class TestInputChecks:
@@ -189,14 +248,40 @@ class TestInputChecks:
         assert message in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_verify_all_rejects_geometry_it_would_ignore(self, tmp_path, capsys, no_work):
-        cfg = tmp_path / "sigma.cfg"
-        cfg.write_text(CONFIG.replace("sigma = 1.0", "sigma = 0.8"), encoding="utf-8")
-        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"),
-                       "verify-all"])
+    @pytest.mark.parametrize("setting", ["sigma-config", "beta1-config", "beta-override"])
+    def test_verify_all_refuses_a_setting_it_would_ignore(self, tmp_path, capsys,
+                                                          no_work, setting):
+        # verify-all runs the pinned geometry of every beta, so a config or a
+        # beta given to it would be ignored
+        sigma = tmp_path / "sigma.cfg"
+        sigma.write_text(CONFIG.replace("sigma = 1.0", "sigma = 0.8"), encoding="utf-8")
+        argv = {"sigma-config": ["--config", str(sigma)],
+                "beta1-config": ["--config", str(ROOT / "configs" / "beta1.cfg")],
+                "beta-override": ["--beta-override", "1"]}[setting]
+        rc = cli.main(argv + ["--out-dir", str(tmp_path / "out"), "verify-all"])
         assert rc == 2
-        assert "sigma = 0.8" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reads no config" in err
+        assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, bad", [
+        ('beta = "x"', "beta must be a number (got 'x')"),
+        ("beta = true", "beta must be a number (got True)"),
+        ("a = [1]", "a must be a number (got [1])"),
+        ('sigma = "1.0"', "sigma must be a number (got '1.0')"),
+        ("b = {}", "b must be a number (got {})"),
+        ("delta = null", "delta must be a number (got None)"),
+        ('l = "one"', "l must be a number (got 'one')"),
+    ])
+    def test_non_numeric_config_value_rejected(self, tmp_path, capsys, no_work,
+                                               text, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        rc = cli.main(["--config", str(cfg), "neumann"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and bad in err
 
     @pytest.mark.parametrize("text, message", [
         ("airy_rtoll = 1e-6", "unknown key 'airy_rtoll'"),

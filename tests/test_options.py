@@ -22,6 +22,11 @@ that callers of the enclosing function pass into it.
 
 The command line follows the same rule: every option string of
 ``cli.build_parser()`` must appear as a string literal in some test.
+
+Two rules keep the gate one statement: every bound a ``check_*`` function of
+``verify`` compares against is a named entry of ``THRESHOLDS``, which the
+manifest records, and ``verify-all`` runs exactly the checks that
+``tests/test_acceptance.py`` runs.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import argparse
 import ast
 from pathlib import Path
 
-from stripdamp import cli
+from stripdamp import cli, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stripdamp"
@@ -212,3 +217,44 @@ def test_every_cli_option_is_passed_by_a_test():
               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     untested = sorted(set(_option_strings(cli.build_parser())) - passed)
     assert not untested, f"CLI options no test passes: {untested}"
+
+
+def _bare_bounds(tree):
+    """Float literals other than 0.0 a check_* function compares against.
+
+    A literal counts when it is an operand of a comparison, or of arithmetic
+    on one side of it; the arguments of a call are part of the measured
+    quantity (``abs(value - 1.0)``), not the bound.
+    """
+    def literals(node):
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, float) and node.value != 0.0:
+                yield node.value
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            for child in ast.iter_child_nodes(node):
+                yield from literals(child)
+
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_"):
+            for cmp in ast.walk(fn):
+                if isinstance(cmp, ast.Compare):
+                    for operand in [cmp.left] + cmp.comparators:
+                        yield from ((fn.name, v) for v in literals(operand))
+
+
+def test_every_bound_of_a_check_is_a_threshold():
+    # manifest.json records THRESHOLDS as the numbers the gate compares against
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    bare = sorted(_bare_bounds(tree))
+    assert not bare, f"bare bounds in verify's checks (move them to THRESHOLDS): {bare}"
+
+
+def test_gate_and_suite_run_the_same_checks():
+    # verify-all and tests/test_acceptance.py must certify the same statement
+    gate = {fn for _, fn in verify.SHARED_STAGES + verify.BETA_STAGES}
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    suite = {node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr.startswith("check_")}
+    assert gate == suite, (f"only in verify-all: {sorted(gate - suite)}; "
+                           f"only in the acceptance suite: {sorted(suite - gate)}")
