@@ -15,6 +15,5 @@ from .model import (  # noqa: F401
     DampingProfile,
     RunConfig,
     UniformDamping,
-    load_config,
     select_h,
 )

@@ -1,8 +1,8 @@
-"""Batch front end: reproducible experiments from plain config files.
+"""Batch front end: reproducible experiments on the pinned geometry.
 
 Every number a subcommand emits comes from a library call; the driver only
-parses configuration, orchestrates sweeps and writes artifacts (CSV tables, a
-manifest and a plain-text summary). Identical configs produce bit-identical
+parses options, orchestrates sweeps and writes artifacts (CSV tables, a
+manifest and a plain-text summary). Identical options produce bit-identical
 CSVs.
 """
 
@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, cap, eigen, evolve, quasimode, resolvent, verify
 from .errors import StripDampError
 from .fits import loglog_fit
-from .model import load_config, select_h
+from .model import select_h
 
 
 def _fmt(v) -> str:
@@ -42,6 +45,14 @@ def write_manifest(out_dir: Path, stage_paths: dict) -> Path:
     manifest = {
         "package_version": __version__,
         "betas": list(verify.BETAS),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        },
         "thresholds": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in verify.THRESHOLDS.items()},
         "artifacts": {k: [str(p) for p in v] for k, v in stage_paths.items()},
@@ -52,17 +63,6 @@ def write_manifest(out_dir: Path, stage_paths: dict) -> Path:
     return path
 
 
-def _load(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        beta = args.beta_override if args.beta_override is not None else 1.0
-        cfg = verify.default_config(float(beta))
-    if args.beta_override is not None:
-        cfg = cfg.with_beta(float(args.beta_override))
-    return cfg
-
-
 def _require_positive(args, *names):
     """Refuse a given option that is not a positive number, before any solve."""
     for name in names:
@@ -71,11 +71,28 @@ def _require_positive(args, *names):
             raise StripDampError(f"--{name} must be positive (got {value})")
 
 
+def _branches(args, default):
+    """The --branches mode list, or default; refused before any solve unless
+    it holds at least two distinct integers, enough to fit an exponent."""
+    if not args.branches:
+        return default
+    try:
+        branches = tuple(int(s) for s in args.branches.split(","))
+    except ValueError:
+        raise StripDampError(f"--branches takes comma-separated integers "
+                             f"(got {args.branches!r})") from None
+    if len(set(branches)) < len(branches):
+        raise StripDampError(f"--branches repeats a mode (got {args.branches!r})")
+    if len(branches) < 2:
+        raise StripDampError(
+            "--branches needs at least two m values to fit an exponent"
+        )
+    return branches
+
+
 def cmd_cap_solve(args):
     _require_positive(args, "stride")
-    cfg = _load(args)
-    eta = complex(args.eta)
-    sol = cap.solve_cap(eta, cfg.profile.beta)
+    sol = cap.solve_cap(args.eta, args.beta)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = write_csv(
@@ -90,8 +107,7 @@ def cmd_cap_solve(args):
 
 
 def cmd_neumann(args):
-    cfg = _load(args)
-    g = cap.neumann_ground(cfg.profile.beta)
+    g = cap.neumann_ground(args.beta)
     kind = "infimum of essential spectrum" if g.essential else "ground eigenvalue"
     print(f"beta = {g.beta:g}: {kind} = {g.value:.10g}  (L = {g.L}, n = {g.n})")
     return 0
@@ -104,18 +120,13 @@ def cmd_eigen_sweep(args):
         raise StripDampError(f"need 0 < --h-min < --h-max < 1 (got {args.h_min}, {args.h_max})")
     if args.points < 2:
         raise StripDampError(f"--points must be at least 2 to fit an exponent (got {args.points})")
-    cfg = _load(args)
-    beta = cfg.profile.beta
-    ctx = eigen.build_context(beta, cfg.profile.a, cfg.l, cfg.bc)
+    beta = args.beta
     if args.h_max is not None:
         hs = np.geomspace(args.h_max, args.h_min, args.points)
-    elif beta in verify.EIGEN_H_WINDOWS:
+    else:
         lo, hi = verify.EIGEN_H_WINDOWS[beta]
         hs = np.geomspace(hi, lo, args.points)
-    else:
-        h0 = eigen.admissible_h_max(ctx)
-        hs = np.geomspace(0.5 * h0, 0.5 * h0 * 10**-1.5, args.points)
-    sols = eigen.eigen_sweep(ctx, hs)
+    sols = eigen.eigen_sweep(verify.context_for(beta), hs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = write_csv(out / "eigen_sweep.csv", verify.eigen_rows(sols))
@@ -127,12 +138,13 @@ def cmd_eigen_sweep(args):
 
 
 def cmd_quasimode_sweep(args):
-    cfg = _load(args)
-    qms = verify.quasimode_sweep(cfg, cfg.m_list)
+    branches = _branches(args, verify.RESIDUAL_SWEEP[args.beta][0])
+    qms = verify.quasimode_sweep(args.beta, branches)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_profiles:
-        x = np.linspace(-cfg.profile.b, cfg.profile.b, 4001)
+        b = verify.default_config(args.beta).profile.b
+        x = np.linspace(-b, b, 4001)
         for qm in qms:
             write_csv(out / f"quasimode_profile_m{qm.m}.csv",
                       [{"x": xi, "re_u": ui.real, "im_u": ui.imag}
@@ -147,48 +159,32 @@ def cmd_quasimode_sweep(args):
 
 
 def cmd_resolvent_scan(args):
-    cfg = _load(args)
-    beta = cfg.profile.beta
-    if args.branches:
-        try:
-            branches = tuple(int(s) for s in args.branches.split(","))
-        except ValueError:
-            raise StripDampError(f"--branches takes comma-separated integers "
-                                 f"(got {args.branches!r})") from None
-        if len(branches) < 2:
-            raise StripDampError(
-                "--branches needs at least two m values to fit a growth exponent"
-            )
-    elif beta in verify.RESOLVENT_BRANCH_M:
-        branches = verify.RESOLVENT_BRANCH_M[beta]
-    else:
-        raise StripDampError(
-            "no default resolvent branches for this beta; pass --branches m1,m2,..."
-        )
-    scan, _ = verify.resolvent_scan(cfg, branches)
+    beta = args.beta
+    branches = _branches(args, verify.RESOLVENT_BRANCH_M[beta])
+    scan, _ = verify.resolvent_scan(beta, branches)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = write_csv(out / "resolvent_scan.csv", verify.resolvent_rows(scan.samples))
     if args.dump_operator:
         import scipy.io
         s0 = scan.samples[0]
-        op = resolvent.assemble_reduced_operator(s0.q, s0.m, cfg.profile, s0.n)
+        op = resolvent.assemble_reduced_operator(s0.q, s0.m,
+                                                 verify.default_config(beta).profile, s0.n)
         mtx = out / f"operator_q{s0.q:.3f}_m{s0.m}.mtx"
         scipy.io.mmwrite(str(mtx), op.matrix)
         print(f"wrote {mtx}")
-    lo, hi = 1.0 / (beta + 2.0), 2.0 / (beta + 2.0)
-    print(f"growth exponent {scan.fit.slope:.4f} (theory band [{lo:.3f}, {hi:.3f}])")
+    lo, hi = verify.resolvent_band(beta)
+    print(f"growth exponent {scan.fit.slope:.4f} (verify-all band [{lo:.4f}, {hi:.4f}])")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_evolve(args):
     _require_positive(args, "m", "dt", "T")
-    cfg = _load(args)
-    beta = cfg.profile.beta
-    ctx = eigen.build_context(beta, cfg.profile.a, cfg.l, cfg.bc)
-    m = args.m or sorted(cfg.m_list)[0]
-    sol = eigen.find_eigenvalue(cfg.l, select_h(m, cfg.profile.b), ctx)
+    cfg = verify.default_config(args.beta)
+    ctx = verify.context_for(args.beta)
+    m = args.m or min(verify.RESIDUAL_SWEEP[args.beta][0])
+    sol = eigen.find_eigenvalue(ctx.l, select_h(m, cfg.profile.b), ctx)
     qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
     n = max(600, int(round(2.0 * cfg.profile.b / (qm.s / 25.0))))
     state = evolve.quasimode_state(qm, n)
@@ -207,6 +203,8 @@ def cmd_evolve(args):
 
 
 def cmd_fit(args):
+    if not Path(args.input).is_file():
+        raise StripDampError(f"--input {args.input}: no such file")
     data = np.atleast_1d(np.genfromtxt(args.input, delimiter=",", names=True))
     for col in (args.t_col, args.e_col):
         if col not in (data.dtype.names or ()):
@@ -231,10 +229,6 @@ def cmd_fit(args):
 
 
 def cmd_verify_all(args):
-    if args.config or args.beta_override is not None:
-        raise StripDampError("verify-all runs the pinned geometry of every beta in "
-                             f"{list(verify.BETAS)} and reads no config; "
-                             "drop --config and --beta-override")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_paths = {}
@@ -268,36 +262,47 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stripdamp",
         description="decay-rate laboratory for strip-damped waves",
     )
-    p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out-dir", default="out", help="artifact directory")
-    p.add_argument("--beta-override", type=float, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("cap-solve", help="half-line boundary problem at one eta")
-    s.add_argument("--eta", default="0", help="complex spectral parameter, e.g. 0.3+0.1j")
+    # every subcommand that solves on the pinned geometry takes its beta
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument("--beta", type=float, choices=verify.BETAS, default=1.0,
+                          metavar="{0,1,2}", help="vanishing exponent of the damping")
+
+    s = sub.add_parser("cap-solve", parents=[geometry],
+                       help="half-line boundary problem at one eta")
+    s.add_argument("--eta", type=complex, default=0j,
+                   help="complex spectral parameter, e.g. 0.3+0.1j")
     s.add_argument("--stride", type=int, default=100, help="CSV decimation")
     s.set_defaults(fn=cmd_cap_solve)
 
-    s = sub.add_parser("neumann", help="ground level of the comparison operator")
+    s = sub.add_parser("neumann", parents=[geometry],
+                       help="ground level of the comparison operator")
     s.set_defaults(fn=cmd_neumann)
 
-    s = sub.add_parser("eigen-sweep", help="Newton continuation across h")
+    s = sub.add_parser("eigen-sweep", parents=[geometry],
+                       help="Newton continuation across h")
     s.add_argument("--h-min", type=float, default=None)
     s.add_argument("--h-max", type=float, default=None)
-    s.add_argument("--points", type=int, default=8)
+    s.add_argument("--points", type=int, default=verify.EIGEN_SWEEP_POINTS)
     s.set_defaults(fn=cmd_eigen_sweep)
 
-    s = sub.add_parser("quasimode-sweep", help="build quasimodes over m_list")
+    s = sub.add_parser("quasimode-sweep", parents=[geometry],
+                       help="build quasimodes over a list of modes")
+    s.add_argument("--branches", default=None, help="comma-separated m values")
     s.add_argument("--dump-profiles", action="store_true")
     s.set_defaults(fn=cmd_quasimode_sweep)
 
-    s = sub.add_parser("resolvent-scan", help="peak-aligned resolvent norms")
+    s = sub.add_parser("resolvent-scan", parents=[geometry],
+                       help="peak-aligned resolvent norms")
     s.add_argument("--branches", default=None, help="comma-separated m values")
     s.add_argument("--dump-operator", action="store_true",
                    help="matrix-market dump of the first assembled operator")
     s.set_defaults(fn=cmd_resolvent_scan)
 
-    s = sub.add_parser("evolve", help="time evolution of one quasimode")
+    s = sub.add_parser("evolve", parents=[geometry],
+                       help="time evolution of one quasimode")
     s.add_argument("--m", type=int, default=None)
     s.add_argument("--dt", type=float, default=None)
     s.add_argument("--T", type=float, default=None)

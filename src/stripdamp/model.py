@@ -10,9 +10,8 @@ half-line solutions into functions vanishing at the boundary.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,13 +199,10 @@ def mode_from_h(h: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle consumed by every driver stage."""
+    """Damping profile and cutoff of one geometry, checked against each other."""
 
     profile: DampingProfile
     cutoff: CutoffFunction
-    bc: str = BC_DIRICHLET
-    l: float = 1
-    m_list: tuple = (64, 128, 256, 512, 1024, 2048)
 
     def __post_init__(self):
         violations = []
@@ -219,79 +215,5 @@ class RunConfig:
             )
         if abs(c.b - p.b) > 1e-12:
             violations.append("cutoff and profile disagree on the domain half-width b")
-        if self.bc not in (BC_DIRICHLET, BC_NEUMANN):
-            violations.append(f"bc must be 'dirichlet' or 'neumann' (got {self.bc!r})")
-        if self.bc == BC_DIRICHLET and abs(self.l - round(self.l)) > 1e-12:
-            violations.append(
-                f"Dirichlet boundary condition requires integer l (got {self.l})"
-            )
-        if self.bc == BC_NEUMANN and abs(self.l + 0.5 - round(self.l + 0.5)) > 1e-12:
-            violations.append(
-                f"Neumann boundary condition requires half-integer l (got {self.l})"
-            )
-        for m in self.m_list:
-            if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
-                violations.append(f"m_list entries must be positive integers (got {m!r})")
         if violations:
             raise ConfigError(violations)
-
-    def with_beta(self, beta: float) -> "RunConfig":
-        return replace(self, profile=replace(self.profile, beta=beta))
-
-
-# ---------------------------------------------------------------------------
-# plain key = value configuration files
-
-_CONFIG_KEYS = {"beta", "a", "sigma", "b", "delta", "join", "bc", "l", "m_list"}
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse 'key = value' lines; values in JSON syntax, '#" starts a comment.
-
-    Keys outside the nine configuration keys are rejected.
-    """
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError([f"line {lineno}: expected 'key = value' (got {raw!r})"])
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigError([f"line {lineno}: unknown key {key!r}"])
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
-    return out
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    d = dict(d)
-    bad = [f"{k} must be a number (got {d[k]!r})"
-           for k in ("beta", "a", "sigma", "b", "delta", "l")
-           if k in d and (isinstance(d[k], bool) or not isinstance(d[k], (int, float)))]
-    if bad:
-        raise ConfigError(bad)
-    profile = DampingProfile(
-        beta=float(d.pop("beta", 1.0)),
-        a=float(d.pop("a", 1.0)),
-        sigma=float(d.pop("sigma", 1.0)),
-        b=float(d.pop("b", 3.0)),
-        join=d.pop("join", JOIN_CONSTANT),
-    )
-    cutoff = CutoffFunction(b=profile.b, delta=float(d.pop("delta", 0.4)))
-    bc = d.pop("bc", BC_DIRICHLET)
-    l = d.pop("l", 1)
-    m_list = d.pop("m_list", [64, 128, 256, 512, 1024, 2048])
-    if not isinstance(m_list, (list, tuple)):
-        raise ConfigError([f"m_list must be a list of positive integers (got {m_list!r})"])
-    if d:
-        raise ConfigError([f"unhandled key {k!r}" for k in d])
-    return RunConfig(profile=profile, cutoff=cutoff, bc=bc, l=l, m_list=tuple(m_list))
-
-
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(parse_config_text(fh.read()))

@@ -103,11 +103,10 @@ EVOLVE_MODES = {0.0: (64, 128), 1.0: (64, 128), 2.0: (512, 724)}
 
 
 def default_config(beta: float) -> RunConfig:
+    """The pinned geometry: strip half-width 1, growth width 1, square (-3, 3)."""
     profile = DampingProfile(beta=beta, a=1.0, sigma=1.0, b=3.0)
     cutoff = CutoffFunction(b=3.0, delta=0.4)
-    m_list = RESIDUAL_SWEEP[beta][0] if beta in RESIDUAL_SWEEP else (64, 128, 256)
-    return RunConfig(profile=profile, cutoff=cutoff, bc=BC_DIRICHLET, l=1,
-                     m_list=m_list)
+    return RunConfig(profile=profile, cutoff=cutoff)
 
 
 @dataclass
@@ -137,17 +136,17 @@ class StageReport:
 
 
 @functools.lru_cache(maxsize=None)
-def context_for(beta: float, a: float = 1.0, l: float = 1,
-                bc: str = BC_DIRICHLET) -> eigen.EigenContext:
-    return eigen.build_context(beta, a, l, bc)
+def context_for(beta: float) -> eigen.EigenContext:
+    """Matching context of the pinned geometry: l = 1, Dirichlet at the strip."""
+    return eigen.build_context(beta, default_config(beta).profile.a, 1, BC_DIRICHLET)
 
 
-def mode_branch(cfg: RunConfig, m_list):
+def mode_branch(beta: float, m_list):
     """(m, solution) along ascending m, each solve seeded by the previous root."""
-    p = cfg.profile
+    b = default_config(beta).profile.b
     ms = sorted(m_list)
-    ctx = context_for(p.beta, p.a, cfg.l, cfg.bc)
-    return list(zip(ms, eigen.eigen_sweep(ctx, [select_h(m, p.b) for m in ms])))
+    ctx = context_for(beta)
+    return list(zip(ms, eigen.eigen_sweep(ctx, [select_h(m, b) for m in ms])))
 
 
 # CSV row shapes shared by verify-all and the sweep subcommands
@@ -286,9 +285,9 @@ def check_eigen_scaling(beta: float) -> StageReport:
 
 @functools.lru_cache(maxsize=None)
 def mode_scaling_data(beta: float):
-    cfg = default_config(beta)
-    return [(m, sol, quasimode.ansatz_params(sol, cfg.profile.b))
-            for m, sol in mode_branch(cfg, MODE_SWEEP_M[beta])]
+    b = default_config(beta).profile.b
+    return [(m, sol, quasimode.ansatz_params(sol, b))
+            for m, sol in mode_branch(beta, MODE_SWEEP_M[beta])]
 
 
 def check_frequency_placement(beta: float) -> StageReport:
@@ -318,10 +317,11 @@ def check_frequency_placement(beta: float) -> StageReport:
 # ---------------------------------------------------------------------------
 # criteria 4 and 6: quasimode sweeps
 
-def quasimode_sweep(cfg: RunConfig, m_list, cap_dx: float = 5.0e-5) -> list:
-    """Quasimodes along ascending m in the geometry of cfg."""
+def quasimode_sweep(beta: float, m_list, cap_dx: float = 5.0e-5) -> list:
+    """Quasimodes along ascending m in the pinned geometry."""
+    cfg = default_config(beta)
     return [quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=cap_dx)
-            for _, sol in mode_branch(cfg, m_list)]
+            for _, sol in mode_branch(beta, m_list)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,7 +333,7 @@ def quasimode_sweep_data(beta: float, which: str):
     else:
         raise ValueError(which)
     cfg = default_config(beta)
-    return cfg, quasimode_sweep(cfg, m_list, cap_dx)
+    return cfg, quasimode_sweep(beta, m_list, cap_dx)
 
 
 def check_residual_scaling(beta: float) -> StageReport:
@@ -422,25 +422,31 @@ def check_tail_decay(beta: float) -> StageReport:
 # ---------------------------------------------------------------------------
 # criterion 7: resolvent scans
 
-def resolvent_scan(cfg: RunConfig, m_list):
+def resolvent_scan(beta: float, m_list):
     """Peak-aligned scan over the branches m_list; returns (scan, scan seconds)."""
-    sols = [sol for _, sol in mode_branch(cfg, m_list)]
+    sols = [sol for _, sol in mode_branch(beta, m_list)]
     t0 = time.perf_counter()
-    scan = resolvent.scan_peaks(sols, cfg.profile)
+    scan = resolvent.scan_peaks(sols, default_config(beta).profile)
     return scan, time.perf_counter() - t0
+
+
+def resolvent_band(beta: float) -> tuple:
+    """(lo, hi): the theory band [1/(beta+2), 2/(beta+2)] of the resolvent
+    growth exponent, widened on each side by the pad the gate allows."""
+    pad = THRESHOLDS["resolvent_band_pad"]
+    return 1.0 / (beta + 2.0) - pad, 2.0 / (beta + 2.0) + pad
 
 
 @functools.lru_cache(maxsize=None)
 def resolvent_scan_data(beta: float):
     cfg = default_config(beta)
-    return (cfg,) + resolvent_scan(cfg, RESOLVENT_BRANCH_M[beta])
+    return (cfg,) + resolvent_scan(beta, RESOLVENT_BRANCH_M[beta])
 
 
 def check_resolvent_band(beta: float) -> StageReport:
     rep = StageReport()
     cfg, scan, elapsed = resolvent_scan_data(beta)
-    lo = 1.0 / (beta + 2.0) - THRESHOLDS["resolvent_band_pad"]
-    hi = 2.0 / (beta + 2.0) + THRESHOLDS["resolvent_band_pad"]
+    lo, hi = resolvent_band(beta)
     rep.checks.append(Check(
         f"resolvent growth exponent in band (beta={beta:g})",
         lo <= scan.fit.slope <= hi,

@@ -1,41 +1,26 @@
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from stripdamp import cap, cli, verify
 from stripdamp.errors import RootFindError
 
-ROOT = Path(__file__).resolve().parents[1]
-
-CONFIG = """
-beta = 1.0
-a = 1.0
-sigma = 1.0
-b = 3.0
-delta = 0.4
-bc = "dirichlet"
-l = 1
-m_list = [64, 128]
-"""
-
-
-@pytest.fixture()
-def cfg_file(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text(CONFIG, encoding="utf-8")
-    return p
-
 
 class TestSubcommands:
-    def test_neumann(self, capsys, cfg_file):
-        rc = cli.main(["--config", str(cfg_file), "neumann"])
+    def test_neumann(self, capsys):
+        # beta = 1 unless --beta says otherwise
+        rc = cli.main(["neumann"])
         assert rc == 0
         assert "1.0187929" in capsys.readouterr().out
 
-    def test_cap_solve_writes_profile(self, tmp_path, cfg_file, capsys):
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
-                       "cap-solve", "--eta", "0.1+0.05j"])
+    def test_cap_solve_writes_profile(self, tmp_path, capsys):
+        rc = cli.main(["--out-dir", str(tmp_path),
+                       "cap-solve", "--beta", "1", "--eta", "0.1+0.05j"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "boundary value" in out
@@ -43,37 +28,44 @@ class TestSubcommands:
         assert csv[0] == "x,re_F,im_F"
         assert len(csv) > 100
 
-    def test_eigen_sweep(self, tmp_path, cfg_file, capsys):
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
-                       "eigen-sweep", "--h-max", "0.02", "--h-min", "0.005",
+    def test_eigen_sweep(self, tmp_path, capsys):
+        rc = cli.main(["--out-dir", str(tmp_path),
+                       "eigen-sweep", "--beta", "1", "--h-max", "0.02", "--h-min", "0.005",
                        "--points", "4"])
         assert rc == 0
         assert "gap exponent" in capsys.readouterr().out
         header = (tmp_path / "eigen_sweep.csv").read_text().splitlines()[0]
         assert header.startswith("h,re_lambda,im_lambda,re_C,im_C")
 
-    def test_quasimode_sweep_deterministic(self, tmp_path, cfg_file):
+    def test_eigen_sweep_writes_what_verify_all_writes(self, tmp_path):
+        # the sweep subcommand and verify-all's eigen stage run one sweep
+        rc = cli.main(["--out-dir", str(tmp_path / "cli"), "eigen-sweep", "--beta", "0"])
+        assert rc == 0
+        gate = tmp_path / "gate.csv"
+        cli.write_csv(gate, verify.eigen_rows(verify.eigen_scaling_data(0.0)[1]))
+        assert (tmp_path / "cli" / "eigen_sweep.csv").read_bytes() == gate.read_bytes()
+
+    def test_quasimode_sweep_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            rc = cli.main(["--config", str(cfg_file), "--out-dir", str(out),
-                           "quasimode-sweep"])
+            rc = cli.main(["--out-dir", str(out),
+                           "quasimode-sweep", "--beta", "1", "--branches", "64,128"])
             assert rc == 0
         b1 = (out1 / "quasimode_sweep.csv").read_bytes()
         b2 = (out2 / "quasimode_sweep.csv").read_bytes()
         assert b1 == b2
 
-    def test_evolve_and_fit_roundtrip(self, tmp_path, cfg_file, capsys):
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
-                       "evolve", "--m", "64"])
+    def test_evolve_and_fit_roundtrip(self, tmp_path, capsys):
+        rc = cli.main(["--out-dir", str(tmp_path), "evolve", "--beta", "1", "--m", "64"])
         assert rc == 0
         rc = cli.main(["fit", "--input", str(tmp_path / "energy_trace.csv")])
         assert rc == 0
         out = capsys.readouterr().out
         assert ("alpha-hat" in out) or ("inconclusive" in out)
 
-    def test_quasimode_sweep_dumps_profiles(self, tmp_path, cfg_file):
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path),
-                       "quasimode-sweep", "--dump-profiles"])
+    def test_quasimode_sweep_dumps_profiles(self, tmp_path):
+        rc = cli.main(["--out-dir", str(tmp_path), "quasimode-sweep", "--beta", "1",
+                       "--branches", "64,128", "--dump-profiles"])
         assert rc == 0
         for m in (64, 128):
             csv = (tmp_path / f"quasimode_profile_m{m}.csv").read_text().splitlines()
@@ -81,11 +73,14 @@ class TestSubcommands:
             assert len(csv) == 4002
 
     def test_resolvent_scan_dumps_operator(self, tmp_path, capsys):
-        cfg = ROOT / "configs" / "beta0.cfg"
-        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
-                       "resolvent-scan", "--branches", "192,384", "--dump-operator"])
+        rc = cli.main(["--out-dir", str(tmp_path), "resolvent-scan", "--beta", "0",
+                       "--branches", "192,384", "--dump-operator"])
         assert rc == 0
-        assert "growth exponent" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "growth exponent" in out
+        # the band printed is the one verify-all checks, pad included
+        assert verify.resolvent_band(0.0) == pytest.approx((0.45, 1.05))
+        assert "(verify-all band [0.4500, 1.0500])" in out
         (mtx,) = tmp_path.glob("operator_q*_m192.mtx")
         assert mtx.read_text().startswith("%%MatrixMarket matrix coordinate complex")
         rows = (tmp_path / "resolvent_scan.csv").read_text().splitlines()
@@ -101,25 +96,26 @@ class TestSubcommands:
         assert rc == 0
         assert "alpha-hat = 1.5000" in capsys.readouterr().out
 
-    def test_beta_override(self, capsys, cfg_file):
-        rc = cli.main(["--config", str(cfg_file), "--beta-override", "2",
-                       "neumann"])
+    def test_beta_selects_the_geometry(self, capsys):
+        rc = cli.main(["neumann", "--beta", "2"])
         assert rc == 0
         assert "ground eigenvalue = 1" in capsys.readouterr().out.replace(
             "0.99999", "1"
         )
 
-    def test_bad_config_lists_violations(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("a = 2.0\nsigma = 1.5\nb = 3.0\n", encoding="utf-8")
-        rc = cli.main(["--config", str(bad), "neumann"])
-        assert rc == 2
-        assert "a + sigma < b" in capsys.readouterr().err
-
-    def test_manifest_records_betas_and_thresholds(self, tmp_path):
+    def test_manifest_records_betas_and_thresholds(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         path = cli.write_manifest(tmp_path, {"demo": [tmp_path / "x.csv"]})
         manifest = json.loads(Path(path).read_text())
         assert manifest["betas"] == [0.0, 1.0, 2.0]
+        env = manifest["environment"]
+        assert sorted(env) == ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "cpu_count",
+                               "numpy", "python", "scipy"]
+        assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["cpu_count"] == os.cpu_count()
         assert len(manifest["thresholds"]) == 22
         assert manifest["thresholds"]["tail_levels"] == [2.0, 4.0, 6.0]
         assert manifest["artifacts"] == {"demo": [str(tmp_path / "x.csv")]}
@@ -195,22 +191,24 @@ class TestInputChecks:
             raise AssertionError("a solve or stage ran")
 
         monkeypatch.setattr(verify, "resolvent_scan", boom)
+        monkeypatch.setattr(verify, "quasimode_sweep", boom)
         monkeypatch.setattr(verify, "verify_all", boom)
         monkeypatch.setattr(cap, "boundary_pair", boom)
 
     @pytest.mark.parametrize("branches, message", [
         ("192", "at least two"),
         ("192,abc", "comma-separated integers"),
+        ("192,192", "repeats a mode"),
     ])
-    def test_bad_branches_rejected(self, tmp_path, cfg_file, capsys, no_work,
-                                   branches, message):
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out"),
-                       "resolvent-scan", "--branches", branches])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "out").exists()
+    def test_bad_branches_rejected(self, tmp_path, capsys, no_work, branches, message):
+        for command in ("resolvent-scan", "quasimode-sweep"):
+            rc = cli.main(["--out-dir", str(tmp_path / "out"),
+                           command, "--beta", "0", "--branches", branches])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert len(err.strip().splitlines()) == 1
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["eigen-sweep", "--h-min", "0.005"], "--h-min and --h-max go together"),
@@ -222,9 +220,8 @@ class TestInputChecks:
         (["evolve", "--T", "0"], "--T must be positive"),
         (["cap-solve", "--stride", "0"], "--stride must be positive"),
     ])
-    def test_bad_solver_options_rejected(self, tmp_path, cfg_file, capsys, no_work,
-                                         argv, message):
-        rc = cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out")] + argv)
+    def test_bad_solver_options_rejected(self, tmp_path, capsys, no_work, argv, message):
+        rc = cli.main(["--out-dir", str(tmp_path / "out")] + argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err
@@ -248,59 +245,25 @@ class TestInputChecks:
         assert message in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("setting", ["sigma-config", "beta1-config", "beta-override"])
-    def test_verify_all_refuses_a_setting_it_would_ignore(self, tmp_path, capsys,
-                                                          no_work, setting):
-        # verify-all runs the pinned geometry of every beta, so a config or a
-        # beta given to it would be ignored
-        sigma = tmp_path / "sigma.cfg"
-        sigma.write_text(CONFIG.replace("sigma = 1.0", "sigma = 0.8"), encoding="utf-8")
-        argv = {"sigma-config": ["--config", str(sigma)],
-                "beta1-config": ["--config", str(ROOT / "configs" / "beta1.cfg")],
-                "beta-override": ["--beta-override", "1"]}[setting]
-        rc = cli.main(argv + ["--out-dir", str(tmp_path / "out"), "verify-all"])
+    def test_missing_fit_input_rejected(self, tmp_path, capsys):
+        rc = cli.main(["fit", "--input", str(tmp_path / "missing.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "reads no config" in err
+        assert "missing.csv: no such file" in err
         assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text, bad", [
-        ('beta = "x"', "beta must be a number (got 'x')"),
-        ("beta = true", "beta must be a number (got True)"),
-        ("a = [1]", "a must be a number (got [1])"),
-        ('sigma = "1.0"', "sigma must be a number (got '1.0')"),
-        ("b = {}", "b must be a number (got {})"),
-        ("delta = null", "delta must be a number (got None)"),
-        ('l = "one"', "l must be a number (got 'one')"),
-    ])
-    def test_non_numeric_config_value_rejected(self, tmp_path, capsys, no_work,
-                                               text, bad):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text + "\n", encoding="utf-8")
-        rc = cli.main(["--config", str(cfg), "neumann"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "invalid configuration" in err and bad in err
-
-    @pytest.mark.parametrize("text, message", [
-        ("airy_rtoll = 1e-6", "unknown key 'airy_rtoll'"),
-        ("airy_rtol 1e-6", "expected 'key = value'"),
-        ("airy_rtol = tight", "airy_rtol must be a number"),
-        ("airy_rtol = [1e-6]", "airy_rtol must be a number"),
-        ("tail_levels = 2.0", "tail_levels must be a list of numbers"),
-        ('tail_levels = [2.0, "x"]', "tail_levels must be a list of numbers"),
-    ])
-    def test_bad_tolerance_file(self, tmp_path, cfg_file, capsys, no_work, text, message):
-        # the thresholds are constants: --tolerance-file is refused by the
-        # parser, so the file is never read and its old message never shows
-        tol = tmp_path / "tol.cfg"
-        tol.write_text(text + "\n", encoding="utf-8")
+    @pytest.mark.parametrize("argv, message", [
+        # the parser refuses these: its usage, then one line with the message
+        (["cap-solve", "--eta", "abc"], "invalid complex value: 'abc'"),
+        (["neumann", "--beta", "0.5"], "invalid choice: 0.5"),
+        # verify-all runs the pinned geometry of every beta; a beta would be ignored
+        (["verify-all", "--beta", "1"], "unrecognized arguments: --beta 1"),
+    ], ids=["eta", "beta-choice", "verify-all-beta"])
+    def test_option_refused_by_the_parser(self, tmp_path, capsys, no_work, argv, message):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--config", str(cfg_file), "--out-dir", str(tmp_path / "out"),
-                      "--tolerance-file", str(tol), "verify-all"])
+            cli.main(["--out-dir", str(tmp_path / "out")] + argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert message not in err
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[0].startswith("usage: stripdamp")
+        assert "error: " in err[-1] and message in err[-1]
         assert not (tmp_path / "out").exists()

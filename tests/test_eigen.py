@@ -135,6 +135,14 @@ class TestFindEigenvalue:
         _, dv = eigen.left_solution(0.0, sol.lambda_h, sol.h, 1.0, BC_NEUMANN)
         assert abs(dv) < 1e-8
 
+    @pytest.mark.parametrize("l, bc, message", [
+        (0.5, BC_DIRICHLET, "Dirichlet requires integer l"),
+        (1, BC_NEUMANN, "Neumann requires half-integer l"),
+    ], ids=["dirichlet", "neumann"])
+    def test_mode_index_must_fit_the_boundary_condition(self, l, bc, message):
+        with pytest.raises(ValueError, match=message):
+            eigen.build_context(1.0, 1.0, l, bc)
+
     def test_continuation_sweep_monotone_gap(self, ctx1):
         sols = eigen.eigen_sweep(ctx1, [0.02, 0.013, 0.008])
         gaps = [s.scaling_gap for s in sols]

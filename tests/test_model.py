@@ -9,10 +9,9 @@ from stripdamp.errors import ConfigError, DomainError
 from stripdamp.model import (
     CutoffFunction,
     DampingProfile,
+    RunConfig,
     UniformDamping,
-    config_from_dict,
     mode_from_h,
-    parse_config_text,
     select_h,
 )
 
@@ -139,57 +138,15 @@ class TestSelectH:
 
 
 class TestConfig:
-    def test_parse_and_build(self):
-        text = """
-        # geometry
-        beta = 1.0
-        a = 1.0
-        sigma = 1.0
-        b = 3.0
-        delta = 0.4
-        bc = "dirichlet"
-        l = 1
-        m_list = [64, 128]
-        """
-        cfg = config_from_dict(parse_config_text(text))
-        assert cfg.profile.beta == 1.0
-        assert cfg.m_list == (64, 128)
-        # solver tolerances and grids are not configuration keys
-        with pytest.raises(ConfigError, match="unknown key 'newton_tol'"):
-            parse_config_text(text + "newton_tol = 1e-9\n")
+    """RunConfig checks the profile and the cutoff against each other."""
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("betta = 1.0")
-
-    def test_geometry_violation_named(self):
+    def test_geometry_violation_named(self, profile1):
         with pytest.raises(ConfigError) as exc:
-            config_from_dict({"a": 2.0, "sigma": 1.5, "b": 3.0})
-        assert "a + sigma < b" in str(exc.value)
+            RunConfig(profile=profile1, cutoff=CutoffFunction(b=4.0, delta=0.4))
+        assert "disagree on the domain half-width b" in str(exc.value)
 
-    def test_dirichlet_rejects_half_integer_l(self):
+    def test_cutoff_margin_violation_named(self, cutoff):
+        profile = DampingProfile(beta=1.0, a=1.0, sigma=1.5, b=3.0)
         with pytest.raises(ConfigError) as exc:
-            config_from_dict({"bc": "dirichlet", "l": 0.5})
-        assert "integer l" in str(exc.value)
-
-    def test_neumann_requires_half_integer_l(self):
-        cfg = config_from_dict({"bc": "neumann", "l": 0.5})
-        assert cfg.l == 0.5
-        with pytest.raises(ConfigError):
-            config_from_dict({"bc": "neumann", "l": 1})
-
-    def test_cutoff_margin_violation_named(self):
-        with pytest.raises(ConfigError) as exc:
-            config_from_dict({"a": 1.0, "sigma": 1.5, "b": 3.0, "delta": 0.4})
+            RunConfig(profile=profile, cutoff=cutoff)
         assert "b - 2*delta" in str(exc.value)
-
-    @pytest.mark.parametrize("text, bad", [
-        ("m_list = [64.7, 128]", "64.7"),
-        ("m_list = [true, 128]", "True"),
-        ("m_list = 64", "64"),
-    ])
-    def test_m_list_entries_pass_unchanged_and_non_integers_are_rejected(self, text, bad):
-        # entries are not coerced: 64.7 must not load as 64, nor true as 1
-        with pytest.raises(ConfigError, match="m_list") as exc:
-            config_from_dict(parse_config_text(text))
-        assert f"got {bad}" in str(exc.value)
