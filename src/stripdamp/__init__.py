@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
     BC_DIRICHLET,
-    BC_NEUMANN,
     CutoffFunction,
     DampingProfile,
     RunConfig,

@@ -14,10 +14,6 @@ the matching equation becomes G(mu, h) = 0 with G well defined down to h = 0,
 where its unique root is mu = 0. A Newton continuation in h tracks that root;
 the derivative of G is assembled exactly from the discrete solver, including
 the eta-derivative of the boundary value.
-
-For the Neumann variant the reflection coefficient flips sign and l becomes a
-half-integer; the sign from the half-integer winding cancels the flip, so G
-itself is unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import numpy as np
 
 from . import cap
 from .errors import AdmissibilityError, RootFindError
-from .model import BC_DIRICHLET, BC_NEUMANN
+from .model import BC_DIRICHLET
 
 __all__ = [
     "EigenContext",
@@ -44,26 +40,23 @@ __all__ = [
 ]
 
 
-def reflection_coeff(lam: complex, h: float, a: float, bc: str = BC_DIRICHLET) -> complex:
-    """Coefficient of the reflected exponential fixing the condition at 0.
-
-    -exp(-2 i lam a / h) for a Dirichlet condition, +exp(...) for Neumann.
-    |Ref| = exp(2 a Im(lam) / h).
+def reflection_coeff(lam: complex, h: float, a: float) -> complex:
+    """Coefficient -exp(-2 i lam a / h) of the reflected exponential, fixing
+    the Dirichlet condition at 0. |Ref| = exp(2 a Im(lam) / h).
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    e = np.exp(-2j * lam * a / h)
-    return -e if bc == BC_DIRICHLET else e
+    return -np.exp(-2j * lam * a / h)
 
 
-def left_solution(x, lam: complex, h: float, a: float, bc: str = BC_DIRICHLET):
+def left_solution(x, lam: complex, h: float, a: float):
     """Oscillatory solution on (0, a) and its derivative.
 
     v(x) = e^{i lam (x-a)/h} + Ref e^{-i lam (x-a)/h}; satisfies the
     absorbing-potential equation there identically (the potential vanishes),
-    and v(0) = 0 resp. v'(0) = 0 by the choice of Ref.
+    and v(0) = 0 by the choice of Ref.
     """
-    ref = reflection_coeff(lam, h, a, bc)
+    ref = reflection_coeff(lam, h, a)
     x = np.asarray(x, dtype=float)
     e_plus = np.exp(1j * lam * (x - a) / h)
     e_minus = np.exp(-1j * lam * (x - a) / h)
@@ -74,12 +67,11 @@ def left_solution(x, lam: complex, h: float, a: float, bc: str = BC_DIRICHLET):
 
 @dataclass(frozen=True)
 class EigenContext:
-    """Per-(beta, a, l, bc) data reused across h: ground level and A1."""
+    """Per-(beta, a, l) data reused across h: ground level and A1."""
 
     beta: float
     a: float
     l: float
-    bc: str
     lambda1: float        # Neumann ground level
     F0: complex           # boundary value at eta = 0
     A1: complex           # pi l F0 / a^2
@@ -102,17 +94,18 @@ def build_context(
     l: float,
     bc: str = BC_DIRICHLET,
 ) -> EigenContext:
-    if bc == BC_DIRICHLET and abs(l - round(l)) > 1e-12:
+    """Matching context for mode l; bc must be BC_DIRICHLET, the only condition solved."""
+    if bc != BC_DIRICHLET:
+        raise ValueError(f"only the Dirichlet condition is supported (got {bc!r})")
+    if abs(l - round(l)) > 1e-12:
         raise ValueError(f"Dirichlet requires integer l (got {l})")
-    if bc == BC_NEUMANN and abs(l + 0.5 - round(l + 0.5)) > 1e-12:
-        raise ValueError(f"Neumann requires half-integer l (got {l})")
     ground = cap.neumann_ground(beta)
     L = cap.default_truncation(beta)
     n = cap.default_points(L)
     f0, _, _ = cap.boundary_pair(0.0, beta, L, n)
     A1 = np.pi * l * f0 / a**2
     return EigenContext(
-        beta=beta, a=a, l=l, bc=bc, lambda1=ground.value, F0=complex(f0),
+        beta=beta, a=a, l=l, lambda1=ground.value, F0=complex(f0),
         A1=complex(A1), cap_L=L, cap_n=n,
     )
 
@@ -121,23 +114,22 @@ def _eta_of(lam: complex, h: float, beta: float) -> complex:
     return lam * lam / h ** (2.0 * beta / (beta + 2.0))
 
 
-def compatibility_value(mu: complex, h: float, ctx: EigenContext, *, deriv: bool = False):
-    """G(mu, h) whose zeros are matched eigenvalues; optionally dG/dmu.
+def compatibility_value(mu: complex, h: float, ctx: EigenContext):
+    """G(mu, h) whose zeros are matched eigenvalues, and dG/dmu.
 
     With eps = h^(2/(beta+2)), C = A1 + mu and E = exp(-2 i a C eps),
     G = i (pi l / a + C eps) (1 + E) F(0, eta) - (1 - E)/eps, the remainder
     split kept exact through expm1 so nothing is truncated. At h = 0 the
     spectral parameter vanishes and G is linear in mu with slope -2 i a.
 
-    Returns G (and dG when deriv=True) plus (lam, eta, f0) diagnostics.
+    Returns (G, dG, lam, eta, f0), the last three as diagnostics.
     """
     beta, a, l = ctx.beta, ctx.a, ctx.l
     eps_pow, lam_pow = ctx.exponents()
     C = ctx.A1 + mu
     if h == 0.0:
         G = (2j * np.pi * l / a) * ctx.F0 - 2j * a * C
-        out = (G, -2j * a) if deriv else (G,)
-        return out + (0.0, 0.0, ctx.F0)
+        return G, -2j * a, 0.0, 0.0, ctx.F0
     eps = h**eps_pow
     lam = np.pi * l * h / a + C * h**lam_pow
     eta = _eta_of(lam, h, beta)
@@ -152,8 +144,6 @@ def compatibility_value(mu: complex, h: float, ctx: EigenContext, *, deriv: bool
     one_minus_E = -np.expm1(-z)        # 1 - E without cancellation
     pref = 1j * (np.pi * l / a + C * eps)
     G = pref * (1.0 + E) * f0 - one_minus_E / eps
-    if not deriv:
-        return G, lam, eta, f0
     dE = -2j * a * eps * E
     deta = 2.0 * lam * h**lam_pow / h ** (2.0 * beta / (beta + 2.0))
     dG = (
@@ -171,7 +161,6 @@ class EigenSolution:
     beta: float
     a: float
     l: float
-    bc: str
     h: float
     mu: complex
     C_h: complex          # A1 + mu
@@ -213,17 +202,17 @@ def find_eigenvalue(
     mu = complex(mu0)
     best = None
     for it in range(1, max_iter + 1):
-        G, dG, lam, eta, f0 = compatibility_value(mu, h, ctx, deriv=True)
+        G, dG, lam, eta, f0 = compatibility_value(mu, h, ctx)
         if best is None or abs(G) < best[0]:
             best = (abs(G), mu)
         step = G / dG
         mu = mu - step
         if abs(step) < 1e-13 * max(1.0, abs(mu)):
             break
-    G, lam, eta, f0 = compatibility_value(mu, h, ctx)
+    G, _, lam, eta, f0 = compatibility_value(mu, h, ctx)
     if abs(G) > best[0]:
         mu = best[1]
-        G, lam, eta, f0 = compatibility_value(mu, h, ctx)
+        G, _, lam, eta, f0 = compatibility_value(mu, h, ctx)
     residual = abs(G)
     if residual > 1e-10:
         raise RootFindError(
@@ -237,7 +226,7 @@ def find_eigenvalue(
         )
     eps_pow, _ = ctx.exponents()
     eps = h**eps_pow
-    ref = reflection_coeff(lam, h, ctx.a, ctx.bc)
+    ref = reflection_coeff(lam, h, ctx.a)
     v_la = 1.0 + ref
     dv_la = (1j * lam / h) * (1.0 - ref)
     B = v_la / f0
@@ -245,7 +234,7 @@ def find_eigenvalue(
     glue = abs(dv_la - B / eps) / max(abs(v_la), abs(dv_la))
     C_h = ctx.A1 + mu
     return EigenSolution(
-        beta=ctx.beta, a=ctx.a, l=l, bc=ctx.bc, h=h, mu=mu, C_h=C_h,
+        beta=ctx.beta, a=ctx.a, l=l, h=h, mu=mu, C_h=C_h,
         lambda_h=lam, eta=eta, F0=ctx.F0, A1=ctx.A1, f0_at_root=f0, B=B,
         newton_residual=residual, glue_residual=float(glue), iterations=it,
     )
@@ -315,7 +304,7 @@ def raw_compatibility_root(
                 f"secant wandered to |eta| = {abs(eta):.3f}; shrink h"
             )
         f0, _, _ = cap.boundary_pair(eta, beta, ctx.cap_L, ctx.cap_n)
-        ref = reflection_coeff(lam, h, a, ctx.bc)
+        ref = reflection_coeff(lam, h, a)
         v_la = 1.0 + ref
         dv_la = (1j * lam / h) * (1.0 - ref)
         return dv_la * f0 - v_la / eps

@@ -21,7 +21,6 @@ JOIN_CONSTANT = "constant"
 JOIN_SMOOTH = "smooth"
 
 BC_DIRICHLET = "dirichlet"
-BC_NEUMANN = "neumann"
 
 
 def _falling_step(t):
@@ -78,11 +77,6 @@ class DampingProfile:
         if violations:
             raise ConfigError(violations)
 
-    @property
-    def c_floor(self) -> float:
-        """Lower bound of the damping on the outer region."""
-        return self.sigma**self.beta
-
     def edge_power(self, x):
         """(|x| - a)_+ ** beta, the model potential the profile follows near the strip."""
         ax = np.abs(np.asarray(x, dtype=float))
@@ -120,11 +114,6 @@ class UniformDamping:
     def damping(self, x):
         x = np.asarray(x, dtype=float)
         w = np.full_like(x, self.level)
-        return w if w.shape else float(w)
-
-    def edge_power(self, x):
-        x = np.asarray(x, dtype=float)
-        w = np.zeros_like(x)
         return w if w.shape else float(w)
 
 
@@ -190,11 +179,6 @@ def select_h(m: int, b: float) -> float:
     if m < 1:
         raise DomainError(f"transverse mode index must be >= 1 (got {m})")
     return math.sqrt(b / (2.0 * math.pi * m))
-
-
-def mode_from_h(h: float, b: float) -> float:
-    """Inverse of select_h: b / (2 pi h^2)."""
-    return b / (2.0 * math.pi * h * h)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A matched eigen solution provides the frequency lambda and gluing constant;
 the profile on [0, b] is the closed-form oscillatory part on (0, a) glued at
 a to the rescaled half-line solution, multiplied by the plateau cutoff and
-extended to negative x by parity (odd for a Dirichlet condition at 0, even
-for Neumann). The pair (q, m) comes from
+extended to negative x as an odd function (the condition at 0 is Dirichlet).
+The pair (q, m) comes from
 
     q = 1/h^2 + lambda^2 / 2,      m = b / (2 pi h^2)  (an integer),
 
@@ -31,7 +31,7 @@ from scipy.interpolate import CubicSpline
 from . import cap
 from .eigen import EigenSolution, left_solution
 from .errors import ConfigError, PreconditionError
-from .model import BC_DIRICHLET, CutoffFunction, DampingProfile
+from .model import CutoffFunction, DampingProfile
 from .quadrature import complex_interp, fd_derivative, gauss_panels
 
 __all__ = [
@@ -74,7 +74,6 @@ class Quasimode:
     h: float
     h2: float               # b / (2 pi m), the primary small quantity
     s: float                # length rescaling h^(2/(beta+2))
-    parity: str             # 'odd' or 'even'
     b: float
     delta: float            # cutoff margin used at build time
     # quadrature sample of the half profile on [0, b]
@@ -101,14 +100,8 @@ class Quasimode:
     def lambda_h(self) -> complex:
         return self.eig.lambda_h
 
-    @property
-    def imq_coeff(self) -> float:
-        """|Im q| * (Re q)^((beta+3)/(beta+2)), the frequency-placement constant."""
-        p = (self.eig.beta + 3.0) / (self.eig.beta + 2.0)
-        return abs(self.q.imag) * self.q.real**p
-
     def evaluate(self, x):
-        """Profile on arbitrary points of (-b, b), parity extension included.
+        """Profile on arbitrary points of (-b, b), odd extension included.
 
         The decaying factor is reconstructed by cubic spline (smooth enough
         to survive finite differencing downstream); beyond its stored range
@@ -116,11 +109,11 @@ class Quasimode:
         """
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        sign = np.where((x < 0) & (self.parity == "odd"), -1.0, 1.0)
+        sign = np.where(x < 0, -1.0, 1.0)
         eig = self.eig
         out = np.zeros(ax.shape, dtype=complex)
         left = ax < eig.a
-        vl, _ = left_solution(ax[left], eig.lambda_h, self.h, eig.a, eig.bc)
+        vl, _ = left_solution(ax[left], eig.lambda_h, self.h, eig.a)
         out[left] = vl
         yq = (ax[~left] - eig.a) / self.s
         spline = CubicSpline(self.y_cap, self.F_cap)
@@ -210,13 +203,13 @@ def build_quasimode(
     v = np.empty(X.shape, dtype=complex)
     dv = np.empty_like(v)
     d2v = np.empty_like(v)
-    vl, dvl = left_solution(X[left], lam, h, a, eig.bc)
+    vl, dvl = left_solution(X[left], lam, h, a)
     v[left] = vl
     dv[left] = dvl
     d2v[left] = -(lam * lam / h2) * vl
     # glue against this solve's own boundary value so the reconstruction is
     # continuous to rounding (the matched B of eig came from a different grid)
-    v_at_a, _ = left_solution(np.array([a]), lam, h, a, eig.bc)
+    v_at_a, _ = left_solution(np.array([a]), lam, h, a)
     B_fine = complex(v_at_a[0]) / F[0]
     yq = (X[~left] - a) / s
     Fi = complex_interp(yq, y, F)
@@ -244,7 +237,6 @@ def build_quasimode(
 
     return Quasimode(
         eig=eig, m=m, q=q, h=h, h2=h2, s=s,
-        parity="odd" if eig.bc == BC_DIRICHLET else "even",
         b=b, delta=cutoff.delta, x=X, w=W, u=u, v=v, dv=dv, d2v=d2v,
         phi=phi, dphi=dphi, d2phi=d2phi,
         y_cap=y_eval[::stride].copy(), F_cap=F_eval[::stride].copy(),

@@ -65,10 +65,6 @@ class ReducedOperator:
     m: int
     n: int
 
-    def hermitian_part_diagonal(self):
-        """Diagonal of (P + P*)/2; independent of the damping."""
-        return self.matrix.diagonal().real
-
 
 def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
     """Second-order finite-difference operator on the interior of (-b, b)."""

@@ -21,7 +21,6 @@ import numpy as np
 from . import cap, eigen, evolve, quasimode, resolvent
 from .fits import local_slopes, loglog_fit
 from .model import (
-    BC_DIRICHLET,
     CutoffFunction,
     DampingProfile,
     RunConfig,
@@ -138,7 +137,7 @@ class StageReport:
 @functools.lru_cache(maxsize=None)
 def context_for(beta: float) -> eigen.EigenContext:
     """Matching context of the pinned geometry: l = 1, Dirichlet at the strip."""
-    return eigen.build_context(beta, default_config(beta).profile.a, 1, BC_DIRICHLET)
+    return eigen.build_context(beta, default_config(beta).profile.a, 1)
 
 
 def mode_branch(beta: float, m_list):
@@ -332,13 +331,12 @@ def quasimode_sweep_data(beta: float, which: str):
         m_list, cap_dx = TAIL_SWEEP_M[beta], 5.0e-5
     else:
         raise ValueError(which)
-    cfg = default_config(beta)
-    return cfg, quasimode_sweep(beta, m_list, cap_dx)
+    return quasimode_sweep(beta, m_list, cap_dx)
 
 
 def check_residual_scaling(beta: float) -> StageReport:
     rep = StageReport()
-    cfg, qms = quasimode_sweep_data(beta, "residual")
+    qms = quasimode_sweep_data(beta, "residual")
     re_q = np.array([qm.q.real for qm in qms])
     res = np.array([qm.residual for qm in qms])
     fit = loglog_fit(re_q, res)
@@ -376,7 +374,8 @@ def check_residual_scaling(beta: float) -> StageReport:
 
 def check_tail_decay(beta: float) -> StageReport:
     rep = StageReport()
-    cfg, qms = quasimode_sweep_data(beta, "tail")
+    qms = quasimode_sweep_data(beta, "tail")
+    profile = default_config(beta).profile
     hs = np.array([qm.h for qm in qms])
     tails = np.array([qm.tail for qm in qms])
     ok = tails > THRESHOLDS["tail_floor"]
@@ -396,7 +395,7 @@ def check_tail_decay(beta: float) -> StageReport:
     ))
     worst_excess = 0.0
     for qm in qms:
-        ratio, bound = quasimode.mass_bound_check(qm, cfg.profile)
+        ratio, bound = quasimode.mass_bound_check(qm, profile)
         worst_excess = max(worst_excess, ratio - bound)
     rep.checks.append(Check(
         f"uncut mass bound with constant 1 + s^b/(s^b - h^2) (beta={beta:g})",
@@ -405,7 +404,7 @@ def check_tail_decay(beta: float) -> StageReport:
     ))
     worst_id = 0.0
     for qm in qms[:3]:
-        lhs, rhs = quasimode.damping_identity(qm, cfg.profile)
+        lhs, rhs = quasimode.damping_identity(qm, profile)
         worst_id = max(worst_id, abs(lhs - rhs) / abs(rhs))
     rep.checks.append(Check(
         f"damping energy identity (beta={beta:g})",
@@ -439,13 +438,12 @@ def resolvent_band(beta: float) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def resolvent_scan_data(beta: float):
-    cfg = default_config(beta)
-    return (cfg,) + resolvent_scan(beta, RESOLVENT_BRANCH_M[beta])
+    return resolvent_scan(beta, RESOLVENT_BRANCH_M[beta])
 
 
 def check_resolvent_band(beta: float) -> StageReport:
     rep = StageReport()
-    cfg, scan, elapsed = resolvent_scan_data(beta)
+    scan, elapsed = resolvent_scan_data(beta)
     lo, hi = resolvent_band(beta)
     rep.checks.append(Check(
         f"resolvent growth exponent in band (beta={beta:g})",
@@ -533,12 +531,12 @@ def evolve_decay_data(beta: float):
         trace = evolve.evolve(state, cfg.profile, dt, T, stride=stride)
         fit = evolve.fit_exponential_rate(trace)
         out.append((qm, trace, fit))
-    return cfg, out
+    return out
 
 
 def check_quasimode_decay(beta: float) -> StageReport:
     rep = StageReport()
-    cfg, runs = evolve_decay_data(beta)
+    runs = evolve_decay_data(beta)
     rows = []
     for qm, trace, fit in runs:
         expected = 2.0 * qm.q.imag
@@ -604,7 +602,7 @@ def check_crossval() -> StageReport:
     for _ in range(10):
         beta = float(rng.uniform(0.4, 2.5))
         l = int(rng.integers(1, 3))
-        ctx = eigen.build_context(beta, 1.0, l, BC_DIRICHLET)
+        ctx = eigen.build_context(beta, 1.0, l)
         h_max = eigen.admissible_h_max(ctx)
         h = float(rng.uniform(0.3, 0.7) * h_max)
         newton = eigen.find_eigenvalue(l, h, ctx)

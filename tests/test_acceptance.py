@@ -119,7 +119,7 @@ class TestSupplementaryScaling:
 
     @pytest.mark.parametrize("beta", verify.BETAS)
     def test_scaling_summary_table(self, beta):
-        _, qms = verify.quasimode_sweep_data(beta, "residual")
+        qms = verify.quasimode_sweep_data(beta, "residual")
         qs = np.array([q.q.real for q in qms])
         res = np.array([q.residual for q in qms])
         imq = np.array([abs(q.q.imag) for q in qms])

@@ -1,51 +1,41 @@
 import numpy as np
 import pytest
 
-from stripdamp import cap, eigen
+from stripdamp import eigen
 from stripdamp.errors import AdmissibilityError, RootFindError
-from stripdamp.model import BC_DIRICHLET, BC_NEUMANN
+from stripdamp.model import BC_DIRICHLET
 
 
 @pytest.fixture(scope="module")
 def ctx1():
-    return eigen.build_context(1.0, 1.0, 1, BC_DIRICHLET)
+    return eigen.build_context(1.0, 1.0, 1)
 
 
 class TestReflection:
     def test_dirichlet_at_exact_multiple(self):
         h, a, l = 0.05, 1.0, 3
         lam = np.pi * l * h / a
-        assert eigen.reflection_coeff(lam, h, a, BC_DIRICHLET) == pytest.approx(-1.0)
-
-    def test_neumann_half_integer(self):
-        h, a, l = 0.05, 1.0, 2.5
-        lam = np.pi * l * h / a
-        ref = eigen.reflection_coeff(lam, h, a, BC_NEUMANN)
-        assert ref == pytest.approx(-1.0)
+        assert eigen.reflection_coeff(lam, h, a) == pytest.approx(-1.0)
 
     def test_unimodular_for_real_frequency(self):
-        ref = eigen.reflection_coeff(0.123, 0.04, 1.0, BC_DIRICHLET)
+        ref = eigen.reflection_coeff(0.123, 0.04, 1.0)
         assert abs(ref) == pytest.approx(1.0, rel=1e-14)
 
     def test_modulus_formula(self):
         lam, h, a = 0.1 + 0.002j, 0.05, 1.0
-        ref = eigen.reflection_coeff(lam, h, a, BC_DIRICHLET)
+        ref = eigen.reflection_coeff(lam, h, a)
         assert abs(ref) == pytest.approx(np.exp(2 * a * lam.imag / h), rel=1e-12)
 
 
 class TestLeftSolution:
     def test_dirichlet_vanishes_at_origin(self):
-        v, _ = eigen.left_solution(0.0, 0.11 + 0.001j, 0.04, 1.0, BC_DIRICHLET)
+        v, _ = eigen.left_solution(0.0, 0.11 + 0.001j, 0.04, 1.0)
         assert abs(v) < 1e-12
-
-    def test_neumann_slope_vanishes_at_origin(self):
-        _, dv = eigen.left_solution(0.0, 0.11 + 0.001j, 0.04, 1.0, BC_NEUMANN)
-        assert abs(dv) < 1e-10
 
     def test_value_at_matching_point(self):
         lam, h, a = 0.13 + 0.002j, 0.04, 1.0
-        v, _ = eigen.left_solution(a, lam, h, a, BC_DIRICHLET)
-        ref = eigen.reflection_coeff(lam, h, a, BC_DIRICHLET)
+        v, _ = eigen.left_solution(a, lam, h, a)
+        ref = eigen.reflection_coeff(lam, h, a)
         assert v == pytest.approx(1.0 + ref, rel=1e-14)
 
     def test_solves_equation(self):
@@ -53,9 +43,9 @@ class TestLeftSolution:
         lam, h, a = 0.13 + 0.002j, 0.04, 1.0
         x = np.linspace(0.2, 0.8, 7)
         eps = 1e-5
-        v0, _ = eigen.left_solution(x, lam, h, a, BC_DIRICHLET)
-        vp, _ = eigen.left_solution(x + eps, lam, h, a, BC_DIRICHLET)
-        vm, _ = eigen.left_solution(x - eps, lam, h, a, BC_DIRICHLET)
+        v0, _ = eigen.left_solution(x, lam, h, a)
+        vp, _ = eigen.left_solution(x + eps, lam, h, a)
+        vm, _ = eigen.left_solution(x - eps, lam, h, a)
         d2 = (vp - 2 * v0 + vm) / eps**2
         assert np.allclose(d2, -((lam / h) ** 2) * v0, rtol=1e-5)
 
@@ -67,7 +57,7 @@ class TestCompatibilityFunction:
 
     def test_slope_at_origin(self, ctx1):
         # derivative in mu at (0, 0) is -2ia
-        G, dG, *_ = eigen.compatibility_value(0.0, 0.0, ctx1, deriv=True)
+        G, dG, *_ = eigen.compatibility_value(0.0, 0.0, ctx1)
         assert dG == pytest.approx(-2j * ctx1.a, rel=1e-14)
 
     def test_linear_in_mu_at_h_zero(self, ctx1):
@@ -77,7 +67,7 @@ class TestCompatibilityFunction:
 
     def test_derivative_matches_difference(self, ctx1):
         mu, h = 0.1 - 0.2j, 0.02
-        G, dG, *_ = eigen.compatibility_value(mu, h, ctx1, deriv=True)
+        G, dG, *_ = eigen.compatibility_value(mu, h, ctx1)
         d = 1e-4
         Gp, *_ = eigen.compatibility_value(mu + d, h, ctx1)
         Gm, *_ = eigen.compatibility_value(mu - d, h, ctx1)
@@ -87,9 +77,9 @@ class TestCompatibilityFunction:
         # the remainder-split form and the undecomposed determinant are the
         # same function of (mu, h)
         mu, h = 0.05 - 0.1j, 0.03
-        G, lam, eta, f0 = eigen.compatibility_value(mu, h, ctx1)
+        G, _, lam, eta, f0 = eigen.compatibility_value(mu, h, ctx1)
         eps = h ** (2.0 / 3.0)
-        ref = eigen.reflection_coeff(lam, h, ctx1.a, ctx1.bc)
+        ref = eigen.reflection_coeff(lam, h, ctx1.a)
         v_la = 1.0 + ref
         dv_la = (1j * lam / h) * (1.0 - ref)
         D = dv_la * f0 - v_la / eps
@@ -123,21 +113,14 @@ class TestFindEigenvalue:
         mods = []
         for h in (0.04, 0.02, 0.01, 0.005):
             sol = eigen.find_eigenvalue(1, h, ctx1)
-            ref = eigen.reflection_coeff(sol.lambda_h, h, 1.0, BC_DIRICHLET)
+            ref = eigen.reflection_coeff(sol.lambda_h, h, 1.0)
             mods.append(abs(abs(ref) - 1.0))
         assert all(np.diff(mods) < 0)
 
-    def test_neumann_branch(self):
-        ctx = eigen.build_context(1.0, 1.0, 0.5, BC_NEUMANN)
-        sol = eigen.find_eigenvalue(0.5, 0.02, ctx)
-        assert abs(sol.mu) < 1.0
-        # the glued profile satisfies the slope condition at the origin
-        _, dv = eigen.left_solution(0.0, sol.lambda_h, sol.h, 1.0, BC_NEUMANN)
-        assert abs(dv) < 1e-8
-
     @pytest.mark.parametrize("l, bc, message", [
         (0.5, BC_DIRICHLET, "Dirichlet requires integer l"),
-        (1, BC_NEUMANN, "Neumann requires half-integer l"),
+        # the Neumann strip variant is not solved; it is refused, not mis-solved
+        (1, "neumann", "only the Dirichlet condition is supported"),
     ], ids=["dirichlet", "neumann"])
     def test_mode_index_must_fit_the_boundary_condition(self, l, bc, message):
         with pytest.raises(ValueError, match=message):

@@ -11,7 +11,6 @@ from stripdamp.model import (
     DampingProfile,
     RunConfig,
     UniformDamping,
-    mode_from_h,
     select_h,
 )
 
@@ -51,7 +50,7 @@ class TestDampingProfile:
         w = p.damping(grid)
         assert np.all(np.diff(w) >= 0)
         outer = np.linspace(p.a + p.sigma, p.b, 200)
-        assert np.all(p.damping(outer) >= p.c_floor)
+        assert np.all(p.damping(outer) >= p.sigma**p.beta)
 
     def test_smooth_join_reaches_plateau(self):
         p = DampingProfile(beta=1.0, a=0.5, sigma=0.5, b=3.0, join="smooth")
@@ -59,7 +58,7 @@ class TestDampingProfile:
             (2 * p.sigma) ** p.beta
         )
         outer = np.linspace(p.a + p.sigma, p.b, 400)
-        assert np.all(p.damping(outer) >= p.c_floor - 1e-14)
+        assert np.all(p.damping(outer) >= p.sigma**p.beta - 1e-14)
         # join is smooth at a + sigma: values approach the edge power there
         eps = 1e-4
         assert p.damping(p.a + p.sigma + eps) == pytest.approx(
@@ -134,7 +133,8 @@ class TestSelectH:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10**7), st.floats(0.1, 10.0))
     def test_roundtrip(self, m, b):
-        assert mode_from_h(select_h(m, b), b) == pytest.approx(m, rel=1e-12)
+        h = select_h(m, b)
+        assert b / (2 * math.pi * h**2) == pytest.approx(m, rel=1e-12)
 
 
 class TestConfig:

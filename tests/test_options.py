@@ -23,6 +23,13 @@ that callers of the enclosing function pass into it.
 The command line follows the same rule: every option string of
 ``cli.build_parser()`` must appear as a string literal in some test.
 
+The same holds for whole names: every function, class, method and property
+of the package must be referenced from ``src/`` or ``stripbench/``, not only
+from ``tests/``, unless ``TEST_ONLY`` names it with a reason. Names are
+matched as for the options: an identifier, an attribute or a string constant
+(``verify``'s stage tables name their checks) counts wherever it appears,
+except inside the definition it names and in ``__all__``.
+
 Two rules keep the gate one statement: every bound a ``check_*`` function of
 ``verify`` compares against is a named entry of ``THRESHOLDS``, which the
 manifest records, and ``verify-all`` runs exactly the checks that
@@ -51,6 +58,15 @@ ALLOWED = {
     ("cap", "boundary_value_by_shooting", "rtol"): "independent oracle",
     ("eigen", "raw_compatibility_root", "tol"): "independent oracle",
     ("eigen", "raw_compatibility_root", "max_iter"): "independent oracle",
+}
+
+# (module, qualified name) kept although only tests reference it
+TEST_ONLY = {
+    ("cap", "boundary_value_by_shooting"): "independent oracle of the half-line solver",
+    ("cap", "boundary_value_closed_form_beta0"): "independent oracle: the beta = 0 exponential",
+    ("quasimode", "direct_residual_norm"): "independent oracle of the collapsed residual",
+    ("resolvent", "quasimode_lower_bound"): "independent lower bound on the scanned norms",
+    ("verify", "time_pinned_resolvent_scan"): "runtime reference of the resolvent scan test",
 }
 
 
@@ -198,6 +214,75 @@ def test_allowlist_names_only_unused_parameters():
     # an entry whose parameter is gone or is now set by a caller is stale
     stale = sorted(set(ALLOWED) - set(unused_options()))
     assert not stale, f"stale allowlist entries: {stale}"
+
+
+class _References(ast.NodeVisitor):
+    """Names a file reads, outside the definition they name and ``__all__``."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self.inside: list[str] = []
+
+    def _visit_definition(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_definition
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def _read(self, name):
+        if name not in self.inside:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._read(node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self._read(node.value)
+
+
+def names_used_only_by_tests():
+    """(module, qualified name) of package definitions no program file reads."""
+    trees = _parse_all()
+    refs = _References()
+    for path, tree in trees.items():
+        if ROOT / "tests" not in path.parents:
+            refs.visit(tree)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if not isinstance(node, definitions):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{n.name}", n) for n in node.body
+                            if isinstance(n, definitions) and not n.name.startswith("__")]
+            unused |= {(path.stem, qualname) for qualname, d in members
+                       if d.name not in refs.names}
+    return unused
+
+
+def test_every_package_name_is_used_outside_the_tests():
+    # a capability only its own tests reach is one no program needs
+    found = names_used_only_by_tests()
+    unused = sorted(found - set(TEST_ONLY))
+    stale = sorted(set(TEST_ONLY) - found)
+    assert not unused and not stale, (
+        "package names only tests reference (delete them, or keep them in "
+        f"TEST_ONLY with a reason): {unused}; stale TEST_ONLY entries: {stale}"
+    )
 
 
 def _option_strings(parser):
