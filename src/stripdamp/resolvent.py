@@ -6,7 +6,8 @@ For real driving frequency q and transverse index m the reduced operator is
 
 with Dirichlet ends. Its inverse norm is 1/sigma_min(P); the smallest
 singular value is obtained by Lanczos iteration on (P* P)^{-1} through one
-sparse LU factorization of the tridiagonal P. The supremum of the
+LAPACK factorization of the tridiagonal P (zgttrf), applied as two zgttrs
+solves per product. The supremum of the
 two-dimensional resolvent over transverse modes is realized near m = b q /
 (2 pi), so a scan maximizes over a small window of integers there.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ResolutionError, RootFindError
 from .fits import FitResult, loglog_fit
@@ -83,6 +85,14 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOpera
     return ReducedOperator(matrix=matrix, x=x, dx=dx, q=float(q), m=int(m), n=int(n))
 
 
+# Lanczos basis size of the sigma_min iteration. ARPACK fills the whole basis
+# before its first convergence test, so a large basis costs every call
+# ncv + 1 products; a small one needs many restarts when sigma_min of P
+# clusters (uniform damping off resonance). Measured on both kinds of
+# spectrum; see BENCH_resolvent.json.
+LANCZOS_NCV = 16
+
+
 @dataclass(frozen=True)
 class ResolventSample:
     q: float
@@ -93,18 +103,20 @@ class ResolventSample:
 
 def _smallest_singular_value(A: sp.csc_matrix, tol: float, v0=None, want_vector=False):
     n = A.shape[0]
-    lu = spla.splu(A)
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+    if info > 0:
+        raise RuntimeError(f"P is singular: zgttrf found a zero pivot U({info}, {info})")
 
     def matvec(z):
-        return lu.solve(lu.solve(z, trans="H"), trans="N")
+        y, _ = lapack.zgttrs(dl, d, du, du2, ipiv, z, trans="C")
+        return lapack.zgttrs(dl, d, du, du2, ipiv, y, trans="N")[0]
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
     if v0 is None:
         rng = np.random.default_rng(1234)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ncv = min(n - 1, 48)
     vals, vecs = spla.eigsh(op, k=1, which="LM", tol=tol, maxiter=2000,
-                            v0=v0, ncv=ncv)
+                            v0=v0, ncv=min(n - 1, LANCZOS_NCV))
     smin = 1.0 / math.sqrt(float(vals[0]))
     if want_vector:
         return smin, vecs[:, 0]
@@ -115,17 +127,16 @@ def resolvent_norm(q: float, m: int, profile, n: int, *,
                    tol: float = 1e-9, v0=None, want_vector: bool = False):
     """1 / sigma_min of the assembled operator, as a ResolventSample.
 
-    Raises RootFindError if the Lanczos iteration does not converge. A
-    starting vector v0 warm-starts the iteration; want_vector additionally
-    returns the minimal singular vector for chained calls.
+    Raises RootFindError if P is singular or the Lanczos iteration does not
+    converge. A starting vector v0 warm-starts the iteration; want_vector
+    additionally returns the minimal singular vector for chained calls.
     """
     op = assemble_reduced_operator(q, m, profile, n)
     try:
         out = _smallest_singular_value(op.matrix, tol, v0=v0, want_vector=want_vector)
-    except RuntimeError as exc:  # ArpackNoConvergence, or a singular factor
+    except RuntimeError as exc:  # ArpackNoConvergence, or a zero pivot
         raise RootFindError(
-            f"Lanczos iteration for sigma_min failed at (q, m, n) = "
-            f"({q!r}, {m}, {n}): {exc}"
+            f"sigma_min failed at (q, m, n) = ({q!r}, {m}, {n}): {exc}"
         ) from exc
     smin, vec = out if want_vector else (out, None)
     samp = ResolventSample(q=float(q), m=int(m), norm=1.0 / smin, n=int(n))

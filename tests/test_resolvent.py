@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stripdamp import eigen, quasimode, resolvent, verify
-from stripdamp.errors import ResolutionError, StripDampError
+from stripdamp.errors import ResolutionError, RootFindError, StripDampError
 from stripdamp.model import UniformDamping, select_h
 
 
@@ -62,6 +62,19 @@ class TestAssembly:
                 resolvent.resolvent_norm(9.0, 3, profile1, n=2000)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_singular_factor_raises(self, profile1, monkeypatch):
+        # zgttrf reports an exactly zero pivot only through info > 0
+        zgttrf = resolvent.lapack.zgttrf
+
+        def zero_pivot(*args, **kwargs):
+            *factor, _ = zgttrf(*args, **kwargs)
+            return (*factor, 7)
+
+        monkeypatch.setattr(resolvent.lapack, "zgttrf", zero_pivot)
+        with pytest.raises(RootFindError,
+                           match=r"\(q, m, n\) = \(9\.0, 3, 2000\).*zero pivot U\(7, 7\)"):
+            resolvent.resolvent_norm(9.0, 3, profile1, n=2000)
+
     def test_under_resolution_rejected(self, profile1):
         with pytest.raises(ResolutionError):
             resolvent.assemble_reduced_operator(200.0, 1, profile1, 500)
@@ -71,6 +84,27 @@ class TestAssembly:
         q = 2 * math.pi * 64 / b + 0.05
         assert resolvent.effective_wavenumber(q, 64, b) < 0.1 * q
         assert resolvent.min_grid_size(q, 64, b) < 2000
+
+
+def _beta1_peak(m):
+    sol = eigen.find_eigenvalue(1, select_h(m, 3.0), verify.context_for(1.0))
+    q, mm = quasimode.ansatz_params(sol, 3.0)
+    return q.real, mm
+
+
+@pytest.mark.parametrize("case", ["beta1-peak", "uniform", "undamped"])
+def test_matches_dense_svd(case, profile1):
+    # the fully independent oracle: every singular value of the dense P
+    n = 2000
+    q, m, profile = {
+        "beta1-peak": (*_beta1_peak(128), profile1),
+        # sigma_min of P clusters off resonance under uniform damping
+        "uniform": (640.0, 309, UniformDamping(1.0, 3.0)),
+        "undamped": (11.0, 3, UniformDamping(0.0, 3.0)),
+    }[case]
+    op = resolvent.assemble_reduced_operator(q, m, profile, n)
+    dense = 1.0 / np.linalg.svd(op.matrix.toarray(), compute_uv=False)[-1]
+    assert resolvent.resolvent_norm(q, m, profile, n).norm == pytest.approx(dense, rel=1e-8)
 
 
 class TestScan:
