@@ -181,6 +181,9 @@ def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
     return ScanResult(samples=samples, fit=fit)
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20) -> ScanResult:
     """Resolvent norm maximized locally around each predicted peak.
 
@@ -211,13 +214,20 @@ def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20) -> ScanResult:
             carry["v0"] = vec
             return samp.norm
 
-        for _ in range(3):
-            qa = lo + 0.382 * (hi - lo)
-            qb = lo + 0.618 * (hi - lo)
-            if norm_at(qa) > norm_at(qb):
-                hi = qb
+        # each step keeps one interior point and its norm: 4 calls for 3 steps
+        qa, qb = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        fa, fb = norm_at(qa), norm_at(qb)
+        for step in range(3):
+            if fa > fb:
+                hi, qb, fb = qb, qa, fa
+                if step < 2:
+                    qa = hi - _INV_PHI * (hi - lo)
+                    fa = norm_at(qa)
             else:
-                lo = qa
+                lo, qa, fa = qa, qb, fb
+                if step < 2:
+                    qb = lo + _INV_PHI * (hi - lo)
+                    fb = norm_at(qb)
         q_star = 0.5 * (lo + hi)
         polished, _ = resolvent_norm(q_star, m, profile, n, v0=carry["v0"],
                                      want_vector=True)

@@ -182,6 +182,8 @@ class TestPeakMode:
         assert [s.m for s in scan.samples] == list(self.MODES)
         assert [s.n for s in scan.samples] == [4000, 4000]
         assert set(tols) == {1e-9}
+        # one solve at the prediction, 4 for 3 golden-section steps, the polish
+        assert len(tols) == 6 * len(self.MODES)
 
 
 @pytest.mark.slow
