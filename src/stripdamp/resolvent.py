@@ -86,10 +86,10 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOpera
 
 
 # Lanczos basis size of the sigma_min iteration. ARPACK fills the whole basis
-# before its first convergence test, so a large basis costs every call
-# ncv + 1 products; a small one needs many restarts when sigma_min of P
-# clusters (uniform damping off resonance). Measured on both kinds of
-# spectrum; see BENCH_resolvent.json.
+# before its first convergence test, so an isolated sigma_min (a peak) costs
+# ncv + 1 products, while a clustered one (uniform damping off resonance)
+# needs more restarts the smaller the basis. 16 was measured against 6-48 on
+# both kinds; the figures are in CHANGES.md and BENCH_resolvent.json.
 LANCZOS_NCV = 16
 
 

@@ -86,22 +86,19 @@ class TestAssembly:
         assert resolvent.min_grid_size(q, 64, b) < 2000
 
 
-def _beta1_peak(m):
-    sol = eigen.find_eigenvalue(1, select_h(m, 3.0), verify.context_for(1.0))
-    q, mm = quasimode.ansatz_params(sol, 3.0)
-    return q.real, mm
-
-
 @pytest.mark.parametrize("case", ["beta1-peak", "uniform", "undamped"])
 def test_matches_dense_svd(case, profile1):
     # the fully independent oracle: every singular value of the dense P
     n = 2000
-    q, m, profile = {
-        "beta1-peak": (*_beta1_peak(128), profile1),
+    if case == "beta1-peak":
+        sol = eigen.find_eigenvalue(1, select_h(128, 3.0), verify.context_for(1.0))
+        q, m = quasimode.ansatz_params(sol, 3.0)
+        q, profile = q.real, profile1
+    elif case == "uniform":
         # sigma_min of P clusters off resonance under uniform damping
-        "uniform": (640.0, 309, UniformDamping(1.0, 3.0)),
-        "undamped": (11.0, 3, UniformDamping(0.0, 3.0)),
-    }[case]
+        q, m, profile = 640.0, 309, UniformDamping(1.0, 3.0)
+    else:
+        q, m, profile = 11.0, 3, UniformDamping(0.0, 3.0)
     op = resolvent.assemble_reduced_operator(q, m, profile, n)
     dense = 1.0 / np.linalg.svd(op.matrix.toarray(), compute_uv=False)[-1]
     assert resolvent.resolvent_norm(q, m, profile, n).norm == pytest.approx(dense, rel=1e-8)

@@ -1,0 +1,179 @@
+"""Before/after measurement of the resolvent kernel on two checkouts.
+
+    python3 tools/bench_resolvent.py compare PARENT CHANGE [--pairs N] [--seed S] [--out FILE]
+    python3 tools/bench_resolvent.py kernel ROOT
+
+PARENT and CHANGE are roots of two checkouts of this repository, for
+example a `git archive` of the parent commit and the working tree. Every
+measurement runs in a fresh process at one BLAS thread, on each checkout's
+own `src`:
+
+* kernel: for one `resolvent_norm` call at the full tolerance, the time
+  (best of 3) and the number of (P*P)^-1 products, at the four branch sizes
+  of `RESOLVENT_BRANCH_M` the kernel spans and on the clustered
+  uniform-damping spectrum; the scan seconds `verify.resolvent_scan`
+  returns at beta = 0, 1 and 2; and the seconds of the `resolvent-gcc`
+  stage.
+* stripbench: `stripbench/run.py --trace 0` on `resolvent-peaks` and
+  `decay-and-controls`, in N pairs that alternate which checkout runs first,
+  with each side's median and quartiles of `wall_s`, `setup_s` and
+  `peak_rss_mb` and the number of pairs the change wins.
+
+`compare` prints one JSON object and writes it to FILE; `kernel` prints
+the kernel figures of one checkout.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+# (beta, m): the shallowest and deepest peaks of the beta = 1 and 2 scans
+BRANCH_CASES = ((1.0, 2048), (2.0, 32768), (1.0, 65536), (2.0, 1048576))
+# uniform damping W = 1 off resonance, where sigma_min clusters
+CLUSTERED_CASE = (640.0, 309, 4000)
+WORKLOADS = ("resolvent-peaks", "decay-and-controls")
+METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+STRIPBENCH_SECONDS = 16
+
+
+def measure_kernel(src):
+    """Kernel figures of the checkout whose package lives in src."""
+    sys.path.insert(0, str(src))
+    from stripdamp import resolvent, verify
+    from stripdamp.model import UniformDamping
+
+    # the scans run first; the first call of each peak, at the predicted
+    # frequency on the grid scan_peaks sized, is the one timed below
+    first_calls = {}
+    norm = resolvent.resolvent_norm
+
+    def recording_norm(q, m, profile, n, **kwargs):
+        first_calls.setdefault((profile.beta, m), (q, m, profile, n))
+        return norm(q, m, profile, n, **kwargs)
+
+    scans = {}
+    resolvent.resolvent_norm = recording_norm
+    try:
+        for beta in verify.BETAS:
+            scan, seconds = verify.resolvent_scan(beta, verify.RESOLVENT_BRANCH_M[beta])
+            scans[f"resolvent-beta{beta:g}"] = {"scan_s": round(seconds, 3),
+                                                 "slope": scan.fit.slope}
+    finally:
+        resolvent.resolvent_norm = norm
+    t0 = time.perf_counter()
+    verify.check_resolvent_gcc_control()
+    gcc_s = time.perf_counter() - t0
+
+    products = [0]
+    eigsh = resolvent.spla.eigsh
+
+    def counting_eigsh(A, *args, **kwargs):
+        def matvec(z):
+            products[0] += 1
+            return A.matvec(z)
+        op = resolvent.spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+        return eigsh(op, *args, **kwargs)
+
+    def one_call(q, m, profile, n):
+        best = math.inf
+        for _ in range(3):
+            products[0] = 0
+            t0 = time.perf_counter()
+            samp = resolvent.resolvent_norm(q, m, profile, n)
+            best = min(best, time.perf_counter() - t0)
+        return {"q": q, "m": m, "n": n, "ms": round(best * 1e3, 2),
+                "products": products[0], "norm": samp.norm}
+
+    calls = {}
+    resolvent.spla.eigsh = counting_eigsh
+    try:
+        for beta, m in BRANCH_CASES:
+            calls[f"beta={beta:g} m={m}"] = one_call(*first_calls[(beta, m)])
+        q, m, n = CLUSTERED_CASE
+        calls[f"uniform W=1 q={q:g} m={m}"] = one_call(q, m, UniformDamping(1.0, 3.0), n)
+    finally:
+        resolvent.spla.eigsh = eigsh
+    return {"calls": calls, "scans": scans, "resolvent-gcc_s": round(gcc_s, 3)}
+
+
+def run_json(cmd, cwd):
+    out = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "runs": values}
+
+
+def stripbench_pairs(roots, pairs, seed):
+    runs = {w: {side: {k: [] for k in METRICS} for side in roots} for w in WORKLOADS}
+    wins = {w: 0 for w in WORKLOADS}
+    for i in range(pairs):
+        order = list(roots) if i % 2 == 0 else list(reversed(roots))
+        for workload in WORKLOADS:
+            pair = {}
+            for side in order:
+                res = run_json([sys.executable, "stripbench/run.py", "--workload", workload,
+                                "--seed", str(seed), "--seconds", str(STRIPBENCH_SECONDS),
+                                "--trace", "0"], roots[side])
+                if not res["correct"] or res["failed"]:
+                    raise SystemExit(f"{workload} on {side}: {res}")
+                pair[side] = res["metrics"]
+                for k in METRICS:
+                    runs[workload][side][k].append(res["metrics"][k]["value"])
+            wins[workload] += pair["change"]["wall_s"]["value"] < pair["parent"]["wall_s"]["value"]
+            print(f"pair {i + 1} {workload}: parent {pair['parent']['wall_s']['value']:.4f} s, "
+                  f"change {pair['change']['wall_s']['value']:.4f} s", file=sys.stderr, flush=True)
+    return {w: {"pairs": pairs, "change_wins_wall_s": wins[w],
+                **{side: {k: quartiles(v) for k, v in runs[w][side].items()}
+                   for side in roots}}
+            for w in WORKLOADS}
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="cmd", required=True)
+    k = sub.add_parser("kernel", help="kernel figures of one checkout, as JSON")
+    k.add_argument("root", type=Path)
+    c = sub.add_parser("compare", help="kernel figures and stripbench pairs of two checkouts")
+    c.add_argument("parent", type=Path)
+    c.add_argument("change", type=Path)
+    c.add_argument("--pairs", type=int, default=10)
+    c.add_argument("--seed", type=int, default=1)
+    c.add_argument("--out", type=Path, default=Path("BENCH_resolvent.json"))
+    args = p.parse_args()
+    if args.cmd == "kernel":
+        print(json.dumps(measure_kernel(args.root.resolve() / "src")))
+        return
+    import numpy
+    import scipy
+
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    result = {
+        "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
+                        "scipy": scipy.__version__, "cpus": os.cpu_count(),
+                        "blas_threads": 1, "machine": platform.machine()},
+        "kernel": {side: run_json([sys.executable, str(Path(__file__).resolve()), "kernel",
+                                   str(root)], root)
+                   for side, root in roots.items()},
+        "stripbench": stripbench_pairs(roots, args.pairs, args.seed),
+    }
+    text = json.dumps(result, indent=1)
+    args.out.write_text(text + "\n")
+    print(text)
+
+
+if __name__ == "__main__":
+    main()
