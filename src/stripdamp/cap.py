@@ -8,7 +8,9 @@ with an absorbing Robin condition F'(L) + theta(L) F(L) = 0 at the cut,
 theta(L) the principal square root of (i L^beta - eta). The Robin impedance
 matches the decaying branch to leading order, so modest L already reproduces
 the unique square-integrable half-line solution. The boundary value F(0) is
-the quantity every downstream computation consumes.
+the quantity every downstream computation consumes. Each solve factors the
+second-order finite-difference matrix once (LAPACK zgttrf) and reuses the
+factors for two zgttrs solves: one for F, one for its eta-derivative.
 
 The module also provides the ground level of the self-adjoint comparison
 operator -d^2/dx^2 + x^beta with a Neumann condition at 0, which bounds the
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from .errors import AdmissibilityError, DomainError, TruncationError
+from .errors import AdmissibilityError, DomainError, RootFindError, TruncationError
 from .quadrature import fd_derivative
 
 _DEFAULT_DX = 2.5e-4
@@ -113,39 +115,41 @@ class CapSolution:
         return self.L / self.n
 
 
-def _assemble(eta, beta, L, n):
-    dx = L / n
-    x = np.linspace(0.0, L, n + 1)
-    w = 1j * x**beta - eta
-    theta = np.sqrt(1j * L**beta - eta)
-    inv = 1.0 / dx**2
-    ab = np.zeros((3, n + 1), dtype=complex)
-    rhs = np.zeros(n + 1, dtype=complex)
-    ab[0, 2:] = -inv
-    ab[1, 1:n] = 2.0 * inv + w[1:n]
-    ab[2, : n - 1] = -inv
-    # inhomogeneous Neumann F'(0) = 1 by ghost elimination
-    ab[1, 0] = 2.0 * inv + w[0]
-    ab[0, 1] = -2.0 * inv
-    rhs[0] = -2.0 / dx
-    # absorbing Robin F'(L) + theta F(L) = 0 by ghost elimination
-    ab[2, n - 1] = -2.0 * inv
-    ab[1, n] = 2.0 * inv + 2.0 * theta / dx + w[n]
-    return ab, rhs, x, theta, dx
-
-
 def boundary_pair(eta, beta, L, n):
-    """(F(0), dF(0)/d eta) without building a full CapSolution.
+    """(F(0), dF(0)/d eta, F) on the uniform grid of n intervals on [0, L].
 
     The derivative is exact for the discrete problem: differentiating
-    A(eta) F = b gives dF = A^{-1} (-dA/deta) F, one extra solve on the
-    already assembled system.
+    A(eta) F = b gives dF = A^{-1} (-dA/deta) F. One LAPACK factorization of
+    the tridiagonal A (zgttrf) serves both solves (two zgttrs calls), the
+    second of which has a right-hand side built from F. Raises RootFindError
+    when the factorization meets an exactly zero pivot.
     """
-    ab, rhs, _, theta, dx = _assemble(eta, beta, L, n)
-    F = solve_banded((1, 1), ab, rhs, check_finite=False)
+    dx = L / n
+    theta = np.sqrt(1j * L**beta - eta)
+    inv = 1.0 / dx**2
+    d = 1j * np.linspace(0.0, L, n + 1) ** beta - eta
+    # absorbing Robin F'(L) + theta F(L) = 0 by ghost elimination
+    d_last = 2.0 * inv + 2.0 * theta / dx + d[n]
+    d += 2.0 * inv
+    d[n] = d_last
+    dl = np.full(n, -inv, dtype=complex)
+    dl[n - 1] = -2.0 * inv
+    du = np.full(n, -inv, dtype=complex)
+    # inhomogeneous Neumann F'(0) = 1 by ghost elimination
+    du[0] = -2.0 * inv
+    rhs = np.zeros(n + 1, dtype=complex)
+    rhs[0] = -2.0 / dx
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du, overwrite_dl=1,
+                                               overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise RootFindError(
+            f"half-line matrix is singular at (eta, beta, L, n) = "
+            f"({eta!r}, {beta!r}, {L!r}, {n}): zgttrf found a zero pivot U({info}, {info})"
+        )
+    F, _ = lapack.zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
     r = F.copy()
-    r[-1] = (1.0 + 1.0 / (theta * dx)) * F[-1]
-    dF = solve_banded((1, 1), ab, r, check_finite=False)
+    r[n] = (1.0 + 1.0 / (theta * dx)) * F[n]
+    dF, _ = lapack.zgttrs(dl, d, du, du2, ipiv, r, overwrite_b=1)
     return F[0], dF[0], F
 
 

@@ -203,16 +203,15 @@ def find_eigenvalue(
     best = None
     for it in range(1, max_iter + 1):
         G, dG, lam, eta, f0 = compatibility_value(mu, h, ctx)
-        if best is None or abs(G) < best[0]:
-            best = (abs(G), mu)
+        if best is None or abs(G) < abs(best[1]):
+            best = (mu, G, lam, eta, f0)
         step = G / dG
         mu = mu - step
         if abs(step) < 1e-13 * max(1.0, abs(mu)):
             break
     G, _, lam, eta, f0 = compatibility_value(mu, h, ctx)
-    if abs(G) > best[0]:
-        mu = best[1]
-        G, _, lam, eta, f0 = compatibility_value(mu, h, ctx)
+    if abs(G) > abs(best[1]):
+        mu, G, lam, eta, f0 = best
     residual = abs(G)
     if residual > 1e-10:
         raise RootFindError(

@@ -16,6 +16,7 @@ when W >= 0. Each step is one pre-factorized tridiagonal solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,13 +80,16 @@ class RateFit:
     reason: str = ""          # 'r2' or 'curvature' when inconclusive
 
 
+@functools.lru_cache(maxsize=8)
 def _stiffness(n: int, b: float, m: int):
     """Tridiagonal -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends."""
     _, dx = interior_grid(b, n)
     shift = 4.0 * math.pi**2 * m**2 / b**2
     diag = np.full(n, 2.0 / dx**2 + shift)
     off = np.full(n - 1, -1.0 / dx**2)
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csc"), dx
+    A = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
+    A.data.setflags(write=False)   # one cached matrix serves every caller
+    return A, dx
 
 
 def discrete_energy(state: WaveState) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from stripdamp import cap
-from stripdamp.errors import AdmissibilityError, TruncationError
+from stripdamp.errors import AdmissibilityError, RootFindError, TruncationError
 
 AIRY_F0 = -1.1879453751046215 + 0.6858605820992242j
 
@@ -88,6 +88,37 @@ class TestBoundaryValue:
         fm = cap.boundary_pair(0.1 + 0.05j - d, 1.0, 10.5, 40000)[0]
         fd = (fp - fm) / (2 * d)
         assert abs(df0 - fd) / abs(fd) < 1e-4
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+    def test_derivative_by_discrete_adjoint(self, beta):
+        # D A is symmetric for D = diag(1/2, 1, ..., 1, 1/2) and
+        # F = -(2/dx) A^{-1} e_0, so e_0^T A^{-1} r = -dx sum D_i F_i r_i: the
+        # derivative follows from F alone, with no second solve
+        eta = 0.1 + 0.05j
+        L = cap.default_truncation(beta)
+        n = cap.default_points(L)
+        dx = L / n
+        _, df0, F = cap.boundary_pair(eta, beta, L, n)
+        theta = np.sqrt(1j * L**beta - eta)
+        r = F.copy()
+        r[-1] *= 1.0 + 1.0 / (theta * dx)
+        D = np.ones(n + 1)
+        D[[0, -1]] = 0.5
+        adjoint = -dx * np.sum(D * F * r)
+        assert abs(df0 - adjoint) / abs(adjoint) < 1e-9
+
+    def test_zero_pivot_raises(self, monkeypatch):
+        # zgttrf reports an exactly zero pivot only through info > 0
+        zgttrf = cap.lapack.zgttrf
+
+        def zero_pivot(*args, **kwargs):
+            *factor, _ = zgttrf(*args, **kwargs)
+            return (*factor, 7)
+
+        monkeypatch.setattr(cap.lapack, "zgttrf", zero_pivot)
+        with pytest.raises(RootFindError, match=r"\(eta, beta, L, n\) = "
+                           r"\(0\.25, 1\.0, 10\.5, 40000\).*zero pivot U\(7, 7\)"):
+            cap.boundary_pair(0.25, 1.0, 10.5, 40000)
 
 
 class TestAdmissibility:

@@ -1,0 +1,105 @@
+"""Before/after measurement of the half-line solver on two checkouts.
+
+    python3 tools/bench_cap.py compare PARENT CHANGE [--pairs N] [--seed S] [--out FILE]
+    python3 tools/bench_cap.py kernel ROOT
+
+PARENT and CHANGE are roots of two checkouts of this repository, for
+example a `git archive` of the parent commit and the working tree. Every
+measurement runs in a fresh process at one BLAS thread, on each checkout's
+own `src`:
+
+* kernel: one `cap.boundary_pair` call, timed best of 3 in ms and in ns per
+  grid interval, at the default grids of beta = 0, 1 and 2 (n = 160,000,
+  40,752 and 40,000, at eta = 0.1 + 0.01i) and at the largest grid of the
+  `quasimode-profiles` workload (beta = 0, m = 4096 at the residual-sweep
+  mesh: 4.72M points, at the matched eta). Each case also prints F(0),
+  dF(0)/deta and the sha256 of F, so two checkouts compare bit for bit.
+* stripbench: `stripbench/run.py --trace 0` on all four workloads, in N
+  pairs that alternate which checkout runs first (the pairing code of
+  `bench_resolvent.py`).
+* traced: one `stripbench/run.py --trace 1` run per checkout and workload,
+  with the per-layer metrics of its traced pass.
+
+`compare` prints one JSON object and writes it to FILE; `kernel` prints
+the kernel figures of one checkout.
+"""
+
+import hashlib
+import math
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import bench_resolvent  # noqa: E402  (pins BLAS to one thread on import)
+
+WORKLOADS = ("branch-matching", "quasimode-profiles", "resolvent-peaks", "decay-and-controls")
+DEFAULT_GRID_ETA = 0.1 + 0.01j
+PROFILE_CASE = (0.0, 4096)   # (beta, m) of the quasimode-profiles workload's largest solve
+
+
+def measure_kernel(src):
+    """Kernel figures of the checkout whose package lives in src."""
+    sys.path.insert(0, str(src))
+    from stripdamp import cap, eigen, quasimode, verify
+    from stripdamp.model import BC_DIRICHLET, select_h
+
+    cases = {}
+    for beta in verify.BETAS:
+        L = cap.default_truncation(beta)
+        cases[f"beta={beta:g} default grid"] = (DEFAULT_GRID_ETA, beta, L, cap.default_points(L))
+
+    # the profile grid's arguments are recorded from the quasimode build itself
+    beta, m = PROFILE_CASE
+    cfg = verify.default_config(beta)
+    m_list, mesh = verify.RESIDUAL_SWEEP[beta]
+    ctx = eigen.build_context(beta, cfg.profile.a, 1, BC_DIRICHLET)
+    sols = eigen.eigen_sweep(ctx, [select_h(mm, cfg.profile.b) for mm in m_list])
+    sol = next(s for s in sols if s.h == select_h(m, cfg.profile.b))
+    calls = []
+    pair = cap.boundary_pair
+
+    def recording_pair(*args):
+        calls.append(args)
+        return pair(*args)
+
+    cap.boundary_pair = recording_pair
+    try:
+        quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=mesh)
+    finally:
+        cap.boundary_pair = pair
+    cases[f"beta={beta:g} m={m} profile grid"] = max(calls, key=lambda a: a[3])
+
+    out = {}
+    for label, (eta, beta, L, n) in cases.items():
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            f0, df0, F = cap.boundary_pair(eta, beta, L, n)
+            best = min(best, time.perf_counter() - t0)
+        out[label] = {"eta": repr(complex(eta)), "L": L, "n": n,
+                      "ms": round(best * 1e3, 2), "ns_per_point": round(best * 1e9 / n, 1),
+                      "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
+                      "F_sha256": hashlib.sha256(F.tobytes()).hexdigest()}
+    return out
+
+
+def traced_runs(roots, seed):
+    """Per-layer metrics of one traced stripbench run per checkout and workload."""
+    out = {}
+    for workload in WORKLOADS:
+        out[workload] = {}
+        for side, root in roots.items():
+            res = bench_resolvent.run_json(
+                [sys.executable, "stripbench/run.py", "--workload", workload, "--seed", str(seed),
+                 "--seconds", str(bench_resolvent.STRIPBENCH_SECONDS), "--trace", "1"], root)
+            if not res["correct"] or res["failed"]:
+                raise SystemExit(f"traced {workload} on {side}: {res}")
+            out[workload][side] = {k: v["value"] for k, v in res["metrics"].items()}
+    return {"traced": out}
+
+
+if __name__ == "__main__":
+    bench_resolvent.cli(__doc__, __file__, measure_kernel, WORKLOADS, "BENCH_cap.json",
+                        extend=traced_runs)

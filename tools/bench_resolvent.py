@@ -117,12 +117,13 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def stripbench_pairs(roots, pairs, seed):
-    runs = {w: {side: {k: [] for k in METRICS} for side in roots} for w in WORKLOADS}
-    wins = {w: 0 for w in WORKLOADS}
+def stripbench_pairs(roots, workloads, pairs, seed):
+    """`stripbench/run.py --trace 0` on each workload in pairs alternating which side runs first."""
+    runs = {w: {side: {k: [] for k in METRICS} for side in roots} for w in workloads}
+    wins = {w: 0 for w in workloads}
     for i in range(pairs):
         order = list(roots) if i % 2 == 0 else list(reversed(roots))
-        for workload in WORKLOADS:
+        for workload in workloads:
             pair = {}
             for side in order:
                 res = run_json([sys.executable, "stripbench/run.py", "--workload", workload,
@@ -139,11 +140,15 @@ def stripbench_pairs(roots, pairs, seed):
     return {w: {"pairs": pairs, "change_wins_wall_s": wins[w],
                 **{side: {k: quartiles(v) for k, v in runs[w][side].items()}
                    for side in roots}}
-            for w in WORKLOADS}
+            for w in workloads}
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def cli(doc, script, measure_kernel, workloads, default_out, extend=None):
+    """`kernel ROOT` prints measure_kernel of one checkout; `compare PARENT CHANGE`
+    writes both checkouts' kernel figures, the stripbench pairs on workloads
+    and whatever extend(roots, seed) adds, to --out.
+    """
+    p = argparse.ArgumentParser(description=doc.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
     k = sub.add_parser("kernel", help="kernel figures of one checkout, as JSON")
     k.add_argument("root", type=Path)
@@ -152,7 +157,7 @@ def main():
     c.add_argument("change", type=Path)
     c.add_argument("--pairs", type=int, default=10)
     c.add_argument("--seed", type=int, default=1)
-    c.add_argument("--out", type=Path, default=Path("BENCH_resolvent.json"))
+    c.add_argument("--out", type=Path, default=Path(default_out))
     args = p.parse_args()
     if args.cmd == "kernel":
         print(json.dumps(measure_kernel(args.root.resolve() / "src")))
@@ -165,15 +170,17 @@ def main():
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
                         "scipy": scipy.__version__, "cpus": os.cpu_count(),
                         "blas_threads": 1, "machine": platform.machine()},
-        "kernel": {side: run_json([sys.executable, str(Path(__file__).resolve()), "kernel",
+        "kernel": {side: run_json([sys.executable, str(Path(script).resolve()), "kernel",
                                    str(root)], root)
                    for side, root in roots.items()},
-        "stripbench": stripbench_pairs(roots, args.pairs, args.seed),
+        "stripbench": stripbench_pairs(roots, workloads, args.pairs, args.seed),
     }
+    if extend is not None:
+        result.update(extend(roots, args.seed))
     text = json.dumps(result, indent=1)
     args.out.write_text(text + "\n")
     print(text)
 
 
 if __name__ == "__main__":
-    main()
+    cli(__doc__, __file__, measure_kernel, WORKLOADS, "BENCH_resolvent.json")
