@@ -41,4 +41,4 @@ class RootFindError(StripDampError, RuntimeError):
 
 
 class InstabilityError(StripDampError, RuntimeError):
-    """Time stepper produced an energy increase beyond scheme tolerance."""
+    """Time stepper raised the energy beyond scheme tolerance or lost definiteness."""

@@ -11,18 +11,28 @@ quadratic energy it satisfies a discrete dissipation identity
     E[k+1] - E[k] = -dt * integral W |v_{k+1/2}|^2
 
 exactly, so energy is conserved to rounding when W = 0 and never increases
-when W >= 0. Each step is one pre-factorized tridiagonal solve.
+when W >= 0.
+
+The step is taken in eliminated form. With alpha = dt/2, the stiffness A
+and p = 2 alpha v, the midpoint rule is
+
+    S y = 2 (1 + alpha W) u + p,   S = diag(1 + alpha W) + alpha^2 A,
+    u' = y - u,                    p' = 2 (u' - u) - p,
+
+where y = u' + u. A cancels from the right-hand side, so a step needs no
+stiffness product. S is real, symmetric and tridiagonal, and positive
+definite while 1 + alpha W stays positive: LAPACK `dpttrf` factors it once
+as L D L^T, and each step is one `dpttrs` solve with the real and imaginary
+parts of the complex state as its two right-hand sides.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import InstabilityError, PreconditionError, ResolutionError
 from .fits import FitResult, linear_fit
@@ -80,23 +90,21 @@ class RateFit:
     reason: str = ""          # 'r2' or 'curvature' when inconclusive
 
 
-@functools.lru_cache(maxsize=8)
-def _stiffness(n: int, b: float, m: int):
-    """Tridiagonal -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends."""
-    _, dx = interior_grid(b, n)
-    shift = 4.0 * math.pi**2 * m**2 / b**2
-    diag = np.full(n, 2.0 / dx**2 + shift)
-    off = np.full(n - 1, -1.0 / dx**2)
-    A = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    A.data.setflags(write=False)   # one cached matrix serves every caller
-    return A, dx
+def _shift(m: int, b: float) -> float:
+    """The transverse term 4 pi^2 m^2 / b^2 of the stiffness."""
+    return 4.0 * math.pi**2 * m**2 / b**2
 
 
 def discrete_energy(state: WaveState) -> float:
-    """E = (<A u, u> + |v|^2) * dx / 2 with the discrete stiffness A."""
-    A, dx = _stiffness(state.n, state.b, state.m)
-    u, v = state.u, state.v
-    quad = np.vdot(u, A @ u).real + np.vdot(v, v).real
+    """E = (<A u, u> + |v|^2) * dx / 2 with the discrete stiffness A.
+
+    A is -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends; <A u, u> is
+    summed by parts as the squared differences plus the two end terms.
+    """
+    u, v, dx = state.u, state.v, state.dx
+    du = np.diff(u)
+    grad = (np.vdot(du, du).real + abs(u[0]) ** 2 + abs(u[-1]) ** 2) / dx**2
+    quad = grad + _shift(state.m, state.b) * np.vdot(u, u).real + np.vdot(v, v).real
     return 0.5 * dx * float(quad)
 
 
@@ -120,38 +128,57 @@ def evolve(
 
     dt must resolve the fastest retained oscillation; an energy increase
     beyond 1e-9 (relative, per sample) raises InstabilityError since the
-    scheme is dissipative for W >= 0.
+    scheme is dissipative for W >= 0. So does a step matrix that is not
+    positive definite, which happens only where 1 + W dt/2 <= 0.
     """
     n, b, m = initial.n, initial.b, initial.m
-    A, dx = _stiffness(n, b, m)
-    x = initial.x
+    x, dx = interior_grid(b, n)
     W = profile.damping(x)
-    freq = math.sqrt(4.0 * math.pi**2 * m**2 / b**2)
+    shift = _shift(m, b)
+    freq = math.sqrt(shift)
     if dt * freq > 1.5:
         raise ResolutionError(
             f"dt = {dt} does not resolve the transverse frequency {freq:.3g}"
         )
     alpha = 0.5 * dt
     one_plus_aw = 1.0 + alpha * W
-    lhs = sp.diags(one_plus_aw, format="csc", dtype=complex) + alpha**2 * A.astype(complex)
-    lu = spla.splu(lhs)
-    u = initial.u.astype(complex).copy()
-    v = initial.v.astype(complex).copy()
+    sd, se, info = lapack.dpttrf(one_plus_aw + alpha**2 * (2.0 / dx**2 + shift),
+                                 np.full(n - 1, -alpha**2 / dx**2))
+    if info > 0:
+        raise InstabilityError(
+            f"the step matrix diag(1 + W dt/2) + (dt/2)^2 A is not positive definite "
+            f"at (n, dt, m) = ({n}, {dt}, {m}): pivot {info} is not positive; "
+            "1 + W dt/2 must stay positive, so the damping is too negative for dt"
+        )
+    c = (2.0 * one_plus_aw)[:, None]
+    # columns are the real and imaginary parts, so dpttrs solves in place
+    u = np.empty((n, 2), order="F")
+    p = np.empty_like(u)
+    y = np.empty_like(u)
+    u[:, 0], u[:, 1] = initial.u.real, initial.u.imag
+    p[:, 0], p[:, 1] = initial.v.real, initial.v.imag
+    p *= 2.0 * alpha
     steps = int(round(T / dt))
     times = [initial.t]
-    state = WaveState(u=u.copy(), v=v.copy(), m=m, b=b, t=initial.t)
+    state = WaveState(u=initial.u.astype(complex), v=initial.v.astype(complex),
+                      m=m, b=b, t=initial.t)
     energies = [discrete_energy(state)]
     states = [state] if store_states else None
     e_prev = energies[0]
     for k in range(1, steps + 1):
-        r1 = u + alpha * v
-        r2 = v - alpha * (A @ u + W * v)
-        u_new = lu.solve(alpha * r2 + one_plus_aw * r1)
-        v_new = (u_new - r1) / alpha
-        u, v = u_new, v_new
+        np.multiply(c, u, out=y)
+        y += p
+        lapack.dpttrs(sd, se, y, overwrite_b=True)
+        y -= u                      # y = u'
+        np.subtract(y, u, out=u)    # u = u' - u
+        u += u
+        np.subtract(u, p, out=p)    # p = 2 (u' - u) - p
+        u, y = y, u
         if k % stride == 0 or k == steps:
             t = initial.t + k * dt
-            state = WaveState(u=u.copy(), v=v.copy(), m=m, b=b, t=t)
+            state = WaveState(u=u[:, 0] + 1j * u[:, 1],
+                              v=(p[:, 0] + 1j * p[:, 1]) / (2.0 * alpha),
+                              m=m, b=b, t=t)
             e = discrete_energy(state)
             if e > e_prev * (1.0 + 1e-9):
                 raise InstabilityError(

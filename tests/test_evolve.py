@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stripdamp import eigen, evolve, quasimode, verify
 from stripdamp.errors import InstabilityError
@@ -19,7 +21,52 @@ def bump_state(n, b=3.0, m=3):
     return evolve.WaveState(u=u, v=np.zeros_like(u), m=m, b=b)
 
 
+def sparse_stiffness(n, b, m):
+    """(A, dx): the assembled -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends."""
+    _, dx = interior_grid(b, n)
+    off = np.full(n - 1, -1.0 / dx**2)
+    diag = np.full(n, 2.0 / dx**2 + 4.0 * np.pi**2 * m**2 / b**2)
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csc"), dx
+
+
+def oracle_evolve(state, profile, dt, steps):
+    """The implicit midpoint rule stepped in (u, v) with a sparse LU and a stiffness product.
+
+    Returns the final (u, v) and the energy (<A u, u> + |v|^2) dx / 2 after
+    every step, with A the assembled sparse stiffness.
+    """
+    A, dx = sparse_stiffness(state.n, state.b, state.m)
+    W = profile.damping(interior_grid(state.b, state.n)[0])
+    alpha = 0.5 * dt
+    one_plus_aw = 1.0 + alpha * W
+    lu = spla.splu(sp.diags(one_plus_aw, format="csc", dtype=complex)
+                   + alpha**2 * A.astype(complex))
+    u, v = state.u.astype(complex), state.v.astype(complex)
+
+    def energy(u, v):
+        return 0.5 * dx * (np.vdot(u, A @ u).real + np.vdot(v, v).real)
+
+    energies = [energy(u, v)]
+    for _ in range(steps):
+        r1 = u + alpha * v
+        r2 = v - alpha * (A @ u + W * v)
+        u_new = lu.solve(alpha * r2 + one_plus_aw * r1)
+        u, v = u_new, (u_new - r1) / alpha
+        energies.append(energy(u, v))
+    return u, v, np.asarray(energies)
+
+
 class TestScheme:
+    def test_energy_summed_by_parts(self):
+        # random data, so the end terms of the summation by parts count
+        rng = np.random.default_rng(7)
+        n, b, m = 500, 3.0, 3
+        u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        A, dx = sparse_stiffness(n, b, m)
+        expected = 0.5 * dx * (np.vdot(u, A @ u).real + np.vdot(v, v).real)
+        state = evolve.WaveState(u=u, v=v, m=m, b=b)
+        assert evolve.discrete_energy(state) == pytest.approx(expected, rel=1e-13)
+
     def test_energy_conserved_without_damping(self):
         state = bump_state(800)
         trace = evolve.evolve(state, UniformDamping(0.0, 3.0), dt=2e-3, T=30.0,
@@ -55,6 +102,34 @@ class TestScheme:
         with pytest.raises(InstabilityError):
             evolve.evolve(state, UniformDamping(-0.3, 3.0), dt=1e-3, T=2.0,
                           stride=5)
+
+    def test_step_matrix_not_positive_definite(self):
+        # 1 + W dt/2 = -0.5: the step matrix has a negative pivot, which no
+        # energy sample would show before the first step
+        state = bump_state(300)
+        with pytest.raises(InstabilityError, match=r"\(n, dt, m\) = \(300, 0\.001, 3\).*pivot 1 "):
+            evolve.evolve(state, UniformDamping(-3000.0, 3.0), dt=1e-3, T=2.0,
+                          stride=5)
+
+    @pytest.mark.parametrize("beta", verify.BETAS)
+    def test_matches_sparse_lu_stepper(self, beta):
+        """The eliminated step reproduces the (u, v) step it replaced."""
+        cfg = verify.default_config(beta)
+        ctx = verify.context_for(beta)
+        m = verify.EVOLVE_MODES[beta][0]
+        sol = eigen.find_eigenvalue(ctx.l, select_h(m, cfg.profile.b), ctx)
+        qmode = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
+        n = max(600, int(round(2.0 * cfg.profile.b / (qmode.s / 25.0))))
+        state = evolve.quasimode_state(qmode, n)
+        dt = 0.12 / qmode.q.real
+        steps = 500
+        u, v, energies = oracle_evolve(state, cfg.profile, dt, steps)
+        trace, states = evolve.evolve(state, cfg.profile, dt, steps * dt,
+                                      store_states=True)
+        assert trace.energies.size == steps + 1
+        assert np.linalg.norm(states[-1].u - u) <= 1e-11 * np.linalg.norm(u)
+        assert np.linalg.norm(states[-1].v - v) <= 1e-11 * np.linalg.norm(v)
+        assert np.max(np.abs(trace.energies / energies - 1.0)) <= 1e-11
 
     def test_quasimode_decays_at_twice_imq(self, qm, profile1):
         n = max(600, int(round(6.0 / (qm.s / 25.0))))
