@@ -36,7 +36,7 @@ from scipy.linalg import lapack
 
 from .errors import InstabilityError, PreconditionError, ResolutionError
 from .fits import FitResult, linear_fit
-from .model import interior_grid
+from .model import grid_spacing, interior_grid
 
 __all__ = [
     "WaveState",
@@ -66,7 +66,7 @@ class WaveState:
 
     @property
     def dx(self) -> float:
-        return interior_grid(self.b, self.n)[1]
+        return grid_spacing(self.b, self.n)
 
     @property
     def x(self) -> np.ndarray:
@@ -128,7 +128,8 @@ def evolve(
 
     dt must resolve the fastest retained oscillation; an energy increase
     beyond 1e-9 (relative, per sample) raises InstabilityError since the
-    scheme is dissipative for W >= 0. So does a step matrix that is not
+    scheme is dissipative for W >= 0; with negative W the error names the
+    minimum of W as the cause. So does a step matrix that is not
     positive definite, which happens only where 1 + W dt/2 <= 0.
     """
     n, b, m = initial.n, initial.b, initial.m
@@ -181,9 +182,12 @@ def evolve(
                               m=m, b=b, t=t)
             e = discrete_energy(state)
             if e > e_prev * (1.0 + 1e-9):
+                w_min = float(W.min())
+                cause = ("the damping is nonnegative so this indicates a stepping fault"
+                         if w_min >= 0.0 else
+                         f"the damping is negative (min W = {w_min:.3g}) and feeds energy in")
                 raise InstabilityError(
-                    f"energy rose from {e_prev:.6e} to {e:.6e} at t = {t:.4g}; "
-                    "the damping is nonnegative so this indicates a stepping fault"
+                    f"energy rose from {e_prev:.6e} to {e:.6e} at t = {t:.4g}; {cause}"
                 )
             e_prev = e
             times.append(t)

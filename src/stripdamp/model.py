@@ -165,9 +165,14 @@ class CutoffFunction:
         return out if out.shape else float(out)
 
 
+def grid_spacing(b: float, n: int) -> float:
+    """Spacing 2b / (n + 1) of n interior points of (-b, b)."""
+    return 2.0 * b / (n + 1)
+
+
 def interior_grid(b: float, n: int) -> tuple[np.ndarray, float]:
-    """(x, dx): the n interior points of (-b, b) at spacing dx = 2b / (n + 1)."""
-    dx = 2.0 * b / (n + 1)
+    """(x, dx): the n interior points of (-b, b) at spacing grid_spacing(b, n)."""
+    dx = grid_spacing(b, n)
     return -b + dx * np.arange(1, n + 1), dx
 
 

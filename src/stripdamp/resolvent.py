@@ -101,7 +101,7 @@ class ResolventSample:
     n: int
 
 
-def _smallest_singular_value(A: sp.csc_matrix, tol: float, v0=None, want_vector=False):
+def _smallest_singular_value(A: sp.csc_matrix, tol: float) -> float:
     n = A.shape[0]
     dl, d, du, du2, ipiv, info = lapack.zgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
     if info > 0:
@@ -112,35 +112,29 @@ def _smallest_singular_value(A: sp.csc_matrix, tol: float, v0=None, want_vector=
         return lapack.zgttrs(dl, d, du, du2, ipiv, y, trans="N")[0]
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    if v0 is None:
-        rng = np.random.default_rng(1234)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    vals, vecs = spla.eigsh(op, k=1, which="LM", tol=tol, maxiter=2000,
-                            v0=v0, ncv=min(n - 1, LANCZOS_NCV))
-    smin = 1.0 / math.sqrt(float(vals[0]))
-    if want_vector:
-        return smin, vecs[:, 0]
-    return smin
+    rng = np.random.default_rng(1234)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vals, _ = spla.eigsh(op, k=1, which="LM", tol=tol, maxiter=2000, v0=v0,
+                         ncv=min(n - 1, LANCZOS_NCV))
+    return 1.0 / math.sqrt(float(vals[0]))
 
 
 def resolvent_norm(q: float, m: int, profile, n: int, *,
-                   tol: float = 1e-9, v0=None, want_vector: bool = False):
+                   tol: float = 1e-9) -> ResolventSample:
     """1 / sigma_min of the assembled operator, as a ResolventSample.
 
     Raises RootFindError if P is singular or the Lanczos iteration does not
-    converge. A starting vector v0 warm-starts the iteration; want_vector
-    additionally returns the minimal singular vector for chained calls.
+    converge. Every call starts the iteration from the same seeded vector,
+    so a sample depends only on (q, m, profile, n, tol).
     """
     op = assemble_reduced_operator(q, m, profile, n)
     try:
-        out = _smallest_singular_value(op.matrix, tol, v0=v0, want_vector=want_vector)
+        smin = _smallest_singular_value(op.matrix, tol)
     except RuntimeError as exc:  # ArpackNoConvergence, or a zero pivot
         raise RootFindError(
             f"sigma_min failed at (q, m, n) = ({q!r}, {m}, {n}): {exc}"
         ) from exc
-    smin, vec = out if want_vector else (out, None)
-    samp = ResolventSample(q=float(q), m=int(m), norm=1.0 / smin, n=int(n))
-    return (samp, vec) if want_vector else samp
+    return ResolventSample(q=float(q), m=int(m), norm=1.0 / smin, n=int(n))
 
 
 def _m_window(q: float, b: float):
@@ -181,59 +175,28 @@ def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
     return ScanResult(samples=samples, fit=fit)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20) -> ScanResult:
-    """Resolvent norm maximized locally around each predicted peak.
+    """Resolvent norm at each branch's predicted peak, one solve per branch.
 
     For each branch the peak sits at Re q of the constructed quasimode
-    frequency, on the branch's own transverse mode m = b / (2 pi h^2), with
-    halfwidth about |Im q| along the real axis. Three golden-section steps
-    in q sharpen the peak value. Grid sizes follow the effective
-    wavenumber over the modes within 3 of resonance plus the
-    boundary-layer scale of the expected minimal singular vector.
+    frequency, on the branch's own transverse mode m = b / (2 pi h^2). The
+    prediction is the peak: on the pinned branches norm * 2 Re q |Im q| is
+    1.00-1.01, and a search in q around it never moved the reported sample.
+    Grid sizes follow the effective wavenumber over the modes within 3 of
+    resonance plus the boundary-layer scale of the expected minimal singular
+    vector.
     """
     b = profile.b
     samples = []
     for eig in eigs:
         q, m = ansatz_params(eig, b)
-        q_pred, width = float(q.real), max(abs(q.imag), 1e-12 * q.real)
+        q_pred = float(q.real)
         n_osc = max(min_grid_size(q_pred, mm, b, points_per_wavelength)
                     for mm in _m_window(q_pred, b))
         layer = eig.h ** (2.0 / (eig.beta + 2.0))
         n_layer = int(math.ceil(points_per_wavelength * 2.0 * b / layer))
         n = max(4000, n_osc, n_layer)
-        best = resolvent_norm(q_pred, m, profile, n)
-        lo, hi = q_pred - 2.0 * width, q_pred + 2.0 * width
-        carry = {"v0": None}
-
-        def norm_at(qq):
-            samp, vec = resolvent_norm(qq, m, profile, n, v0=carry["v0"],
-                                       want_vector=True)
-            carry["v0"] = vec
-            return samp.norm
-
-        # each step keeps one interior point and its norm: 4 calls for 3 steps
-        qa, qb = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-        fa, fb = norm_at(qa), norm_at(qb)
-        for step in range(3):
-            if fa > fb:
-                hi, qb, fb = qb, qa, fa
-                if step < 2:
-                    qa = hi - _INV_PHI * (hi - lo)
-                    fa = norm_at(qa)
-            else:
-                lo, qa, fa = qa, qb, fb
-                if step < 2:
-                    qb = lo + _INV_PHI * (hi - lo)
-                    fb = norm_at(qb)
-        q_star = 0.5 * (lo + hi)
-        polished, _ = resolvent_norm(q_star, m, profile, n, v0=carry["v0"],
-                                     want_vector=True)
-        if polished.norm < best.norm:
-            polished = best
-        samples.append(polished)
+        samples.append(resolvent_norm(q_pred, m, profile, n))
     samples.sort(key=lambda s: s.q)
     fit = loglog_fit([s.q for s in samples], [s.norm for s in samples])
     return ScanResult(samples=samples, fit=fit)

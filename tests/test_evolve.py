@@ -99,7 +99,7 @@ class TestScheme:
 
     def test_negative_damping_detected(self):
         state = bump_state(300)
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError, match=r"damping is negative \(min W = -0\.3\)"):
             evolve.evolve(state, UniformDamping(-0.3, 3.0), dt=1e-3, T=2.0,
                           stride=5)
 

@@ -179,8 +179,20 @@ class TestPeakMode:
         assert [s.m for s in scan.samples] == list(self.MODES)
         assert [s.n for s in scan.samples] == [4000, 4000]
         assert set(tols) == {1e-9}
-        # one solve at the prediction, 4 for 3 golden-section steps, the polish
-        assert len(tols) == 6 * len(self.MODES)
+        # one solve per branch, at the prediction
+        assert len(tols) == len(self.MODES)
+
+    def test_prediction_is_the_local_peak(self, branches):
+        """The norm at Re q exceeds the norms 0.2 |Im q| to either side."""
+        profile, sols = branches
+        peaks = {s.m: s for s in resolvent.scan_peaks(sols, profile).samples}
+        for sol in sols:
+            q, m = quasimode.ansatz_params(sol, profile.b)
+            peak = peaks[m]
+            assert peak.q == q.real
+            for side in (-0.2, 0.2):
+                off = resolvent.resolvent_norm(q.real + side * abs(q.imag), m, profile, peak.n)
+                assert off.norm < peak.norm
 
 
 @pytest.mark.slow
