@@ -12,8 +12,8 @@ x = a is one complex scalar equation; after peeling off the leading behavior
 
 the matching equation becomes G(mu, h) = 0 with G well defined down to h = 0,
 where its unique root is mu = 0. A Newton continuation in h tracks that root;
-the derivative of G is assembled exactly from the discrete solver, including
-the eta-derivative of the boundary value.
+the derivative of G is assembled exactly from the extrapolated boundary value
+(cap.boundary_value), including its eta-derivative.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def left_solution(x, lam: complex, h: float, a: float):
 
 @dataclass(frozen=True)
 class EigenContext:
-    """Per-(beta, a, l) data reused across h: ground level and A1."""
+    """Per-(beta, a, l) data reused across h: ground level, A1 and the cut L."""
 
     beta: float
     a: float
@@ -76,7 +76,6 @@ class EigenContext:
     F0: complex           # boundary value at eta = 0
     A1: complex           # pi l F0 / a^2
     cap_L: float
-    cap_n: int
 
     @property
     def K_bound(self) -> float:
@@ -101,12 +100,11 @@ def build_context(
         raise ValueError(f"Dirichlet requires integer l (got {l})")
     ground = cap.neumann_ground(beta)
     L = cap.default_truncation(beta)
-    n = cap.default_points(L)
-    f0, _, _ = cap.boundary_pair(0.0, beta, L, n)
+    f0, _ = cap.boundary_value(0.0, beta, L)
     A1 = np.pi * l * f0 / a**2
     return EigenContext(
         beta=beta, a=a, l=l, lambda1=ground.value, F0=complex(f0),
-        A1=complex(A1), cap_L=L, cap_n=n,
+        A1=complex(A1), cap_L=L,
     )
 
 
@@ -138,7 +136,7 @@ def compatibility_value(mu: complex, h: float, ctx: EigenContext):
             f"induced |eta| = {abs(eta):.4f} exceeds {0.5 * ctx.lambda1:.4f}; "
             "reduce h"
         )
-    f0, df0, _ = cap.boundary_pair(eta, beta, ctx.cap_L, ctx.cap_n)
+    f0, df0 = cap.boundary_value(eta, beta, ctx.cap_L)
     z = 2j * a * C * eps
     E = np.exp(-z)
     one_minus_E = -np.expm1(-z)        # 1 - E without cancellation
@@ -172,7 +170,8 @@ class EigenSolution:
     B: complex            # gluing constant, left value / right value at a
     newton_residual: float
     glue_residual: float  # relative defect of the slope matching
-    iterations: int
+    iterations: int       # evaluations of G
+    newton_stop: str      # "step", "floor" or "max_iter": why Newton stopped
 
     @property
     def scaling_gap(self) -> float:
@@ -190,10 +189,13 @@ def find_eigenvalue(
 ) -> EigenSolution:
     """Newton iteration on mu -> G(mu, h) seeded at mu0 (continuation-friendly).
 
-    The returned solution has |mu| < 1 and both matching equations verified
+    Newton stops when a step falls below 1e-13 relative ("step") or at the
+    first evaluation whose |G| does not fall below the best so far
+    ("floor": the rounding noise of the boundary value, about 1e-13 to
+    5e-12, is reached). It returns the best evaluated iterate. The returned
+    solution has |mu| < 1 and both matching equations verified
     independently; a residual |G| above 1e-10 raises RootFindError with a
-    bisection-in-h hint. The achieved |G| can floor near that tolerance: the
-    boundary-value solves carry rounding noise of that order.
+    bisection-in-h hint.
     """
     if l != ctx.l:
         raise ValueError(f"context was built for l = {ctx.l}, got {l}")
@@ -201,17 +203,19 @@ def find_eigenvalue(
         raise ValueError(f"h must lie in (0, 1) (got {h})")
     mu = complex(mu0)
     best = None
+    stop = "max_iter"
     for it in range(1, max_iter + 1):
         G, dG, lam, eta, f0 = compatibility_value(mu, h, ctx)
-        if best is None or abs(G) < abs(best[1]):
-            best = (mu, G, lam, eta, f0)
-        step = G / dG
-        mu = mu - step
-        if abs(step) < 1e-13 * max(1.0, abs(mu)):
+        if best is not None and not abs(G) < abs(best[1]):
+            stop = "floor"
             break
-    G, _, lam, eta, f0 = compatibility_value(mu, h, ctx)
-    if abs(G) > abs(best[1]):
-        mu, G, lam, eta, f0 = best
+        best = (mu, G, lam, eta, f0)
+        step = G / dG
+        if abs(step) < 1e-13 * max(1.0, abs(mu - step)):
+            stop = "step"
+            break
+        mu = mu - step
+    mu, G, lam, eta, f0 = best
     residual = abs(G)
     if residual > 1e-10:
         raise RootFindError(
@@ -236,6 +240,7 @@ def find_eigenvalue(
         beta=ctx.beta, a=ctx.a, l=l, h=h, mu=mu, C_h=C_h,
         lambda_h=lam, eta=eta, F0=ctx.F0, A1=ctx.A1, f0_at_root=f0, B=B,
         newton_residual=residual, glue_residual=float(glue), iterations=it,
+        newton_stop=stop,
     )
 
 
@@ -302,7 +307,7 @@ def raw_compatibility_root(
             raise AdmissibilityError(
                 f"secant wandered to |eta| = {abs(eta):.3f}; shrink h"
             )
-        f0, _, _ = cap.boundary_pair(eta, beta, ctx.cap_L, ctx.cap_n)
+        f0, _ = cap.boundary_value(eta, beta, ctx.cap_L)
         ref = reflection_coeff(lam, h, a)
         v_la = 1.0 + ref
         dv_la = (1j * lam / h) * (1.0 - ref)

@@ -156,6 +156,7 @@ def eigen_rows(sols) -> list:
             "h": s.h, "re_lambda": s.lambda_h.real, "im_lambda": s.lambda_h.imag,
             "re_C": s.C_h.real, "im_C": s.C_h.imag,
             "newton_iterations": s.iterations, "newton_residual": s.newton_residual,
+            "newton_stop": s.newton_stop,
             "glue_residual": s.glue_residual,
         }
         for s in sols

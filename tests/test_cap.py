@@ -14,11 +14,38 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from stripdamp import cap
 from stripdamp.errors import AdmissibilityError, RootFindError, TruncationError
 
 AIRY_F0 = -1.1879453751046215 + 0.6858605820992242j
+
+
+def second_solve_pair(eta, beta, L, n):
+    """(F(0), dF(0)/d eta) of boundary_pair's matrix, the derivative by a
+    second solve with the same factors: dF = A^{-1} r, r = -(dA/deta) F."""
+    dx = L / n
+    x = np.linspace(0.0, L, n + 1)
+    lo = np.clip(x - dx / 2, 0.0, L)
+    hi = np.clip(x + dx / 2, 0.0, L)
+    V = (hi ** (beta + 1) - lo ** (beta + 1)) / ((beta + 1) * (hi - lo))
+    theta = np.sqrt(1j * L**beta - eta)
+    d = 2.0 / dx**2 + 1j * V - eta
+    d[n] += 2.0 * theta / dx
+    dl = np.full(n, -1.0 / dx**2, dtype=complex)
+    dl[n - 1] *= 2.0
+    du = np.full(n, -1.0 / dx**2, dtype=complex)
+    du[0] *= 2.0
+    rhs = np.zeros(n + 1, dtype=complex)
+    rhs[0] = -2.0 / dx
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du)
+    assert info == 0
+    F, _ = lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
+    r = F.copy()
+    r[n] *= 1.0 + 1.0 / (theta * dx)
+    dF, _ = lapack.zgttrs(dl, d, du, du2, ipiv, r)
+    return F[0], dF[0]
 
 
 def airy_f0_from_gammas():
@@ -47,6 +74,33 @@ class TestBoundaryValue:
         sol = cap.solve_cap(eta, 0.0)
         exact = cap.boundary_value_closed_form_beta0(eta)
         assert abs(sol.boundary_value - exact) / abs(exact) < 1e-6
+
+    def test_extrapolated_airy_oracle(self):
+        f0, _ = cap.boundary_value(0.0, 1.0, cap.default_truncation(1.0))
+        assert abs(f0 - AIRY_F0) / abs(AIRY_F0) < 1e-9
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.2 + 0.3j, -0.1 - 0.35j])
+    def test_extrapolated_beta0_closed_form(self, eta):
+        f0, _ = cap.boundary_value(eta, 0.0, cap.default_truncation(0.0))
+        exact = cap.boundary_value_closed_form_beta0(eta)
+        assert abs(f0 - exact) / abs(exact) < 1e-9
+
+    @pytest.mark.parametrize("beta", [0.3, 0.43, 0.5])
+    def test_extrapolated_matches_shooting_below_beta_one(self, beta):
+        # x^beta has no bounded derivative at 0 here; point sampling it is
+        # first order, the cell average is not
+        L = cap.default_truncation(beta)
+        for eta in (0.0, 0.1 + 0.05j, -0.1 - 0.2j):
+            f0, _ = cap.boundary_value(eta, beta, L)
+            shot = cap.boundary_value_by_shooting(eta, beta)
+            assert abs(f0 - shot) / abs(shot) < 1e-7
+
+    def test_extrapolated_derivative_matches_difference(self):
+        eta, L, d = 0.1 + 0.05j, cap.default_truncation(2.0), 1e-3
+        _, df0 = cap.boundary_value(eta, 2.0, L)
+        fd = (cap.boundary_value(eta + d, 2.0, L)[0]
+              - cap.boundary_value(eta - d, 2.0, L)[0]) / (2 * d)
+        assert abs(df0 - fd) / abs(fd) < 1e-5
 
     def test_truncation_stability(self):
         # doubling (L, n) together isolates the cut-off error
@@ -91,21 +145,15 @@ class TestBoundaryValue:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
     def test_derivative_by_discrete_adjoint(self, beta):
-        # D A is symmetric for D = diag(1/2, 1, ..., 1, 1/2) and
-        # F = -(2/dx) A^{-1} e_0, so e_0^T A^{-1} r = -dx sum D_i F_i r_i: the
-        # derivative follows from F alone, with no second solve
+        # the adjoint sum -dx sum D_i F_i r_i that boundary_pair returns
+        # against the second solve dF = A^{-1} r it replaced
         eta = 0.1 + 0.05j
         L = cap.default_truncation(beta)
         n = cap.default_points(L)
-        dx = L / n
-        _, df0, F = cap.boundary_pair(eta, beta, L, n)
-        theta = np.sqrt(1j * L**beta - eta)
-        r = F.copy()
-        r[-1] *= 1.0 + 1.0 / (theta * dx)
-        D = np.ones(n + 1)
-        D[[0, -1]] = 0.5
-        adjoint = -dx * np.sum(D * F * r)
-        assert abs(df0 - adjoint) / abs(adjoint) < 1e-9
+        f0, df0, _ = cap.boundary_pair(eta, beta, L, n)
+        f0_solved, df0_solved = second_solve_pair(eta, beta, L, n)
+        assert abs(f0 - f0_solved) / abs(f0_solved) < 1e-9
+        assert abs(df0 - df0_solved) / abs(df0_solved) < 1e-9
 
     def test_zero_pivot_raises(self, monkeypatch):
         # zgttrf reports an exactly zero pivot only through info > 0

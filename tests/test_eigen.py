@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stripdamp import eigen
+from stripdamp import cap, eigen, verify
 from stripdamp.errors import AdmissibilityError, RootFindError
-from stripdamp.model import BC_DIRICHLET
+from stripdamp.model import BC_DIRICHLET, select_h
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,34 @@ class TestFindEigenvalue:
         sols = eigen.eigen_sweep(ctx1, [0.02, 0.013, 0.008])
         gaps = [s.scaling_gap for s in sols]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_stops_on_noise_floor_near_tolerance(self):
+        # a crossval-range point where a boundary value with noise near
+        # 1e-10 leaves no |G| below the 1e-10 tolerance
+        beta, l, h = 2.2464749783336675, 2, 0.004115860271575528
+        ctx = eigen.build_context(beta, 1.0, l)
+        sol = eigen.find_eigenvalue(l, h, ctx)
+        assert sol.newton_stop in ("step", "floor")
+        assert sol.iterations < 20
+        assert sol.newton_residual < 1e-11
+        # matching defect with F(0) from shooting, not from the solver
+        f0 = cap.boundary_value_by_shooting(sol.eta, beta)
+        ref = eigen.reflection_coeff(sol.lambda_h, h, ctx.a)
+        rhs = (1.0 + ref) / h ** (2.0 / (beta + 2.0))
+        defect = (1j * sol.lambda_h / h) * (1.0 - ref) * f0 - rhs
+        assert abs(defect) / abs(rhs) < 1e-9
+
+    def test_no_pinned_root_runs_to_max_iter(self):
+        sols = [s for _, s in verify.mode_branch(2.0, verify.RESIDUAL_SWEEP[2.0][0])]
+        for beta in verify.BETAS:
+            ctx = verify.context_for(beta)
+            b = verify.default_config(beta).profile.b
+            sols += [eigen.find_eigenvalue(1, select_h(m, b), ctx)
+                     for m in verify.EVOLVE_MODES[beta]]
+            sols += verify.eigen_scaling_data(beta)[1]
+        assert {s.newton_stop for s in sols} <= {"step", "floor"}
+        assert max(s.iterations for s in sols) < 40
+        assert "newton_stop" in verify.eigen_rows(sols)[0]
 
     def test_out_of_window_h_raises(self, ctx1):
         with pytest.raises((RootFindError, AdmissibilityError)):

@@ -3,6 +3,9 @@
     python3 tools/bench_cap.py compare PARENT CHANGE [--pairs N] [--seed S] [--out FILE]
     python3 tools/bench_cap.py kernel ROOT
 
+For example, `compare PARENT CHANGE --out BENCH_matching.json` gives the
+figures of the extrapolated matching solve.
+
 PARENT and CHANGE are roots of two checkouts of this repository, for
 example a `git archive` of the parent commit and the working tree. Every
 measurement runs in a fresh process at one BLAS thread, on each checkout's
@@ -13,7 +16,12 @@ own `src`:
   40,752 and 40,000, at eta = 0.1 + 0.01i) and at the largest grid of the
   `quasimode-profiles` workload (beta = 0, m = 4096 at the residual-sweep
   mesh: 4.72M points, at the matched eta). Each case also prints F(0),
-  dF(0)/deta and the sha256 of F, so two checkouts compare bit for bit.
+  dF(0)/deta and the sha256 of F, so two checkouts compare bit for bit,
+  and at the default grids the relative F(0) error against backward
+  DOP853 shooting (`cap.boundary_value_by_shooting`). On a checkout that
+  has `cap.boundary_value`, the same is timed and printed for one
+  `boundary_value` call (the extrapolated coarse pair the eigenvalue
+  matching reads) at beta = 0, 1 and 2.
 * stripbench: `stripbench/run.py --trace 0` on all four workloads, in N
   pairs that alternate which checkout runs first (the pairing code of
   `bench_resolvent.py`).
@@ -71,18 +79,40 @@ def measure_kernel(src):
         cap.boundary_pair = pair
     cases[f"beta={beta:g} m={m} profile grid"] = max(calls, key=lambda a: a[3])
 
+    shot = {beta: cap.boundary_value_by_shooting(DEFAULT_GRID_ETA, beta, cap.default_truncation(beta))
+            for beta in verify.BETAS}
+
+    def error(f0, beta):
+        return float(f"{abs(f0 - shot[beta]) / abs(shot[beta]):.3g}")
+
     out = {}
     for label, (eta, beta, L, n) in cases.items():
-        best = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            f0, df0, F = cap.boundary_pair(eta, beta, L, n)
-            best = min(best, time.perf_counter() - t0)
+        (f0, df0, F), best = best_of_3(cap.boundary_pair, eta, beta, L, n)
         out[label] = {"eta": repr(complex(eta)), "L": L, "n": n,
                       "ms": round(best * 1e3, 2), "ns_per_point": round(best * 1e9 / n, 1),
                       "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
                       "F_sha256": hashlib.sha256(F.tobytes()).hexdigest()}
+        if eta == DEFAULT_GRID_ETA:
+            out[label]["F0_err_vs_shooting"] = error(f0, beta)
+    if hasattr(cap, "boundary_value"):
+        for beta in verify.BETAS:
+            L = cap.default_truncation(beta)
+            (f0, df0), best = best_of_3(cap.boundary_value, DEFAULT_GRID_ETA, beta, L)
+            out[f"beta={beta:g} boundary_value"] = {
+                "eta": repr(DEFAULT_GRID_ETA), "L": L, "ms": round(best * 1e3, 3),
+                "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
+                "F0_err_vs_shooting": error(f0, beta)}
     return out
+
+
+def best_of_3(fn, *args):
+    """(result, seconds) of the fastest of three calls."""
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return result, best
 
 
 def traced_runs(roots, seed):
