@@ -8,10 +8,10 @@ with an absorbing Robin condition F'(L) + theta(L) F(L) = 0 at the cut,
 theta(L) the principal square root of (i L^beta - eta). The Robin impedance
 matches the decaying branch to leading order, so modest L already reproduces
 the unique square-integrable half-line solution. The boundary value F(0) is
-the quantity every downstream computation consumes. Each solve factors the
-second-order finite-volume matrix once (LAPACK zgttrf) and solves once
-(zgttrs); the potential on its diagonal is the average of x^beta over each
-node's dual cell, and the eta-derivative of F(0) follows from F by the
+the quantity every downstream computation consumes. Each solve is one
+LAPACK zgtsv pass over the second-order finite-volume matrix (elimination
+and back substitution, with no stored factors); the potential on its
+diagonal is the average of x^beta over each node's dual cell, and the eta-derivative of F(0) follows from F by the
 discrete adjoint identity. The eigenvalue matching reads F(0) from
 boundary_value, a Richardson extrapolation of two coarse solves.
 
@@ -128,9 +128,9 @@ def boundary_pair(eta, beta, L, n):
     discrete problem: differentiating A(eta) F = b gives
     dF = A^{-1} r, r = -(dA/deta) F, and since D A is symmetric for
     D = diag(1/2, 1, ..., 1, 1/2) and F = -(2/dx) A^{-1} e_0,
-    dF(0) = e_0^T A^{-1} r = -dx sum D_i F_i r_i needs no second solve.
-    Raises RootFindError when the LAPACK factorization (zgttrf) meets an
-    exactly zero pivot.
+    dF(0) = e_0^T A^{-1} r = -dx sum D_i F_i r_i needs no second solve,
+    so F comes from one zgtsv pass. Raises RootFindError when the
+    elimination meets an exactly zero pivot.
     """
     dx = L / n
     theta = np.sqrt(1j * L**beta - eta)
@@ -157,14 +157,13 @@ def boundary_pair(eta, beta, L, n):
     du[0] = -2.0 * inv
     rhs = np.zeros(n + 1, dtype=complex)
     rhs[0] = -2.0 / dx
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du, overwrite_dl=1,
-                                               overwrite_d=1, overwrite_du=1)
+    *_, F, info = lapack.zgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                               overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise RootFindError(
             f"half-line matrix is singular at (eta, beta, L, n) = "
-            f"({eta!r}, {beta!r}, {L!r}, {n}): zgttrf found a zero pivot U({info}, {info})"
+            f"({eta!r}, {beta!r}, {L!r}, {n}): zgtsv found a zero pivot U({info}, {info})"
         )
-    F, _ = lapack.zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
     # r = F except r_n = (1 + 1/(theta dx)) F_n, from the eta-dependence of theta
     dF0 = -dx * (np.dot(F, F) - 0.5 * (F[0] * F[0] + F[n] * F[n])) - 0.5 * F[n] * F[n] / theta
     return F[0], dF0, F

@@ -34,6 +34,29 @@ _D1_ONESIDED = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _D2_ONESIDED = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
 
 
+def _check_stencil(f, order):
+    if f.shape[0] < 7:
+        raise ValueError("need at least 7 samples for fourth-order differences")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+
+
+def _central(fm2, fm1, f0, fp1, fp2, dx, order):
+    """Five-point central difference from the samples at offsets -2 .. 2."""
+    if order == 1:
+        return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * dx)
+    return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * dx * dx)
+
+
+def _one_sided(f, dx, order):
+    """Differences at the samples 0, 1, n - 2 and n - 1, nearest the ends."""
+    if order == 1:
+        return (_D1_ONESIDED @ f[:5] / dx, _D1_ONESIDED @ f[1:6] / dx,
+                -(_D1_ONESIDED @ f[-2:-7:-1]) / dx, -(_D1_ONESIDED @ f[-1:-6:-1]) / dx)
+    return (_D2_ONESIDED @ f[:6] / dx**2, _D2_ONESIDED @ f[1:7] / dx**2,
+            _D2_ONESIDED @ f[-2:-8:-1] / dx**2, _D2_ONESIDED @ f[-1:-7:-1] / dx**2)
+
+
 def fd_derivative(values, dx, order=1):
     """Fourth-order finite difference of sampled values on a uniform grid.
 
@@ -41,25 +64,31 @@ def fd_derivative(values, dx, order=1):
     at the two points nearest each end. Works for complex data.
     """
     f = np.asarray(values)
-    if f.shape[0] < 7:
-        raise ValueError("need at least 7 samples for fourth-order differences")
+    _check_stencil(f, order)
     d = np.empty_like(f)
-    if order == 1:
-        d[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * dx)
-        d[0] = _D1_ONESIDED @ f[:5] / dx
-        d[1] = _D1_ONESIDED @ f[1:6] / dx
-        d[-1] = -(_D1_ONESIDED @ f[-1:-6:-1]) / dx
-        d[-2] = -(_D1_ONESIDED @ f[-2:-7:-1]) / dx
-    elif order == 2:
-        d[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (
-            12 * dx * dx
-        )
-        d[0] = _D2_ONESIDED @ f[:6] / dx**2
-        d[1] = _D2_ONESIDED @ f[1:7] / dx**2
-        d[-1] = _D2_ONESIDED @ f[-1:-7:-1] / dx**2
-        d[-2] = _D2_ONESIDED @ f[-2:-8:-1] / dx**2
-    else:
-        raise ValueError("order must be 1 or 2")
+    d[2:-2] = _central(f[:-4], f[1:-3], f[2:-2], f[3:-1], f[4:], dx, order)
+    d[[0, 1, -2, -1]] = _one_sided(f, dx, order)
+    return d
+
+
+def fd_derivative_at(values, dx, idx, order):
+    """fd_derivative(values, dx, order)[idx], differencing only at idx.
+
+    Same stencils and the same arithmetic, so the result is bit for bit the
+    full-grid one; idx holds indices in [0, n).
+    """
+    f = np.asarray(values)
+    _check_stencil(f, order)
+    n = f.shape[0]
+    idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"indices must lie in [0, {n})")
+    d = np.empty(idx.shape, dtype=f.dtype)
+    inner = (idx >= 2) & (idx < n - 2)
+    i = idx[inner]
+    d[inner] = _central(f[i - 2], f[i - 1], f[i], f[i + 1], f[i + 2], dx, order)
+    ends = np.array(_one_sided(f, dx, order))
+    d[~inner] = ends[np.searchsorted([0, 1, n - 2, n - 1], idx[~inner])]
     return d
 
 

@@ -16,8 +16,9 @@ coefficient collapses algebraically:
 The residual of the reduced stationary operator is evaluated in exactly that
 collapsed form, which removes the 1/h^4 cancellation that would otherwise
 swamp the measurement in floating point. Derivatives of the rescaled
-half-line factor are taken by fourth-order differences on its own fine grid;
-the oscillatory part and the cutoff are differentiated analytically.
+half-line factor are taken by fourth-order differences on its own fine grid,
+at the grid points that bracket a quadrature node and nowhere else; the
+oscillatory part and the cutoff are differentiated analytically.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import cap
 from .eigen import EigenSolution, left_solution
 from .errors import ConfigError, PreconditionError
 from .model import CutoffFunction, DampingProfile
-from .quadrature import complex_interp, fd_derivative, gauss_panels
+from .quadrature import complex_interp, fd_derivative, fd_derivative_at, gauss_panels
 
 __all__ = [
     "Quasimode",
@@ -145,6 +146,8 @@ def build_quasimode(
     residual once frequencies get large. 'fd' exists for cross-checks at
     moderate frequency.
     """
+    if second_derivative not in ("equation", "fd"):
+        raise ValueError("second_derivative must be 'equation' or 'fd'")
     beta, a, h = eig.beta, eig.a, eig.h
     sigma, b = profile.sigma, profile.b
     if abs(beta - profile.beta) > 0 or abs(a - profile.a) > 0:
@@ -165,13 +168,6 @@ def build_quasimode(
     _, _, F = cap.boundary_pair(eig.eta, beta, L, nF)
     y = np.linspace(0.0, L, nF + 1)
     dy = L / nF
-    F1 = fd_derivative(F, dy, order=1)
-    if second_derivative == "equation":
-        F2 = (1j * y**beta - eig.eta) * F
-    elif second_derivative == "fd":
-        F2 = fd_derivative(F, dy, order=2)
-    else:
-        raise ValueError("second_derivative must be 'equation' or 'fd'")
 
     # a coarser companion solve backs pointwise re-evaluation: linear-solver
     # rounding noise scales like 1/dy^2, and it is that noise a downstream
@@ -212,10 +208,21 @@ def build_quasimode(
     v_at_a, _ = left_solution(np.array([a]), lam, h, a)
     B_fine = complex(v_at_a[0]) / F[0]
     yq = (X[~left] - a) / s
-    Fi = complex_interp(yq, y, F)
-    v[~left] = B_fine * Fi
-    dv[~left] = B_fine * complex_interp(yq, y, F1) / s
-    d2v[~left] = B_fine * complex_interp(yq, y, F2) / s**2
+    # linear interpolation reads only the two grid points bracketing a node,
+    # so the factor is differenced at those points alone; each bracket is a
+    # pair of adjacent entries of K, and interpolating on y[K] gives the
+    # full-grid values bit for bit
+    j = np.searchsorted(y, yq, "right") - 1
+    K = np.unique(np.clip(np.concatenate([j, j + 1]), 0, nF))
+    yK, FK = y[K], F[K]
+    F1 = fd_derivative_at(F, dy, K, 1)
+    if second_derivative == "equation":
+        F2 = (1j * yK**beta - eig.eta) * FK
+    else:
+        F2 = fd_derivative_at(F, dy, K, 2)
+    v[~left] = B_fine * complex_interp(yq, yK, FK)
+    dv[~left] = B_fine * complex_interp(yq, yK, F1) / s
+    d2v[~left] = B_fine * complex_interp(yq, yK, F2) / s**2
 
     phi = cutoff.value(X)
     dphi = cutoff.derivative(X, 1)

@@ -23,13 +23,20 @@ AIRY_F0 = -1.1879453751046215 + 0.6858605820992242j
 
 
 def second_solve_pair(eta, beta, L, n):
-    """(F(0), dF(0)/d eta) of boundary_pair's matrix, the derivative by a
-    second solve with the same factors: dF = A^{-1} r, r = -(dA/deta) F."""
+    """(F(0), dF(0)/d eta, F) of boundary_pair's matrix, F by a zgttrf
+    factorization and a zgttrs solve, the derivative by a second solve with
+    the same factors: dF = A^{-1} r, r = -(dA/deta) F.
+
+    The dual-cell averages are rounded as boundary_pair rounds them, from
+    the same edges, so the two solves see the same matrix: differencing
+    edge^(beta + 1) near x = L cancels digits, and a differently rounded
+    diagonal alone moves F by up to 1e-11 relative at beta = 2.
+    """
     dx = L / n
-    x = np.linspace(0.0, L, n + 1)
-    lo = np.clip(x - dx / 2, 0.0, L)
-    hi = np.clip(x + dx / 2, 0.0, L)
-    V = (hi ** (beta + 1) - lo ** (beta + 1)) / ((beta + 1) * (hi - lo))
+    edges = np.linspace(-0.5 * dx, L + 0.5 * dx, n + 2)
+    edges[0], edges[-1] = 0.0, L
+    V = np.diff(edges ** (beta + 1)) * (1.0 / ((beta + 1) * dx))
+    V[[0, n]] *= 2.0
     theta = np.sqrt(1j * L**beta - eta)
     d = 2.0 / dx**2 + 1j * V - eta
     d[n] += 2.0 * theta / dx
@@ -45,7 +52,7 @@ def second_solve_pair(eta, beta, L, n):
     r = F.copy()
     r[n] *= 1.0 + 1.0 / (theta * dx)
     dF, _ = lapack.zgttrs(dl, d, du, du2, ipiv, r)
-    return F[0], dF[0]
+    return F[0], dF[0], F
 
 
 def airy_f0_from_gammas():
@@ -151,19 +158,29 @@ class TestBoundaryValue:
         L = cap.default_truncation(beta)
         n = cap.default_points(L)
         f0, df0, _ = cap.boundary_pair(eta, beta, L, n)
-        f0_solved, df0_solved = second_solve_pair(eta, beta, L, n)
+        f0_solved, df0_solved, _ = second_solve_pair(eta, beta, L, n)
         assert abs(f0 - f0_solved) / abs(f0_solved) < 1e-9
         assert abs(df0 - df0_solved) / abs(df0_solved) < 1e-9
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_full_grid_against_factor_and_solve(self, beta):
+        # the one zgtsv pass against the zgttrf + zgttrs solve it replaced
+        eta = 0.1 + 0.05j
+        L = cap.default_truncation(beta)
+        n = cap.default_points(L)
+        _, _, F = cap.boundary_pair(eta, beta, L, n)
+        _, _, F_solved = second_solve_pair(eta, beta, L, n)
+        assert np.max(np.abs(F - F_solved)) / np.max(np.abs(F_solved)) <= 1e-13
+
     def test_zero_pivot_raises(self, monkeypatch):
-        # zgttrf reports an exactly zero pivot only through info > 0
-        zgttrf = cap.lapack.zgttrf
+        # zgtsv reports an exactly zero pivot only through info > 0
+        zgtsv = cap.lapack.zgtsv
 
         def zero_pivot(*args, **kwargs):
-            *factor, _ = zgttrf(*args, **kwargs)
-            return (*factor, 7)
+            *solved, _ = zgtsv(*args, **kwargs)
+            return (*solved, 7)
 
-        monkeypatch.setattr(cap.lapack, "zgttrf", zero_pivot)
+        monkeypatch.setattr(cap.lapack, "zgtsv", zero_pivot)
         with pytest.raises(RootFindError, match=r"\(eta, beta, L, n\) = "
                            r"\(0\.25, 1\.0, 10\.5, 40000\).*zero pivot U\(7, 7\)"):
             cap.boundary_pair(0.25, 1.0, 10.5, 40000)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stripdamp.fits import linear_fit, local_slopes, loglog_fit
-from stripdamp.quadrature import complex_interp, fd_derivative, gauss_panels
+from stripdamp.quadrature import complex_interp, fd_derivative, fd_derivative_at, gauss_panels
 
 
 class TestGaussPanels:
@@ -46,6 +46,24 @@ class TestFiniteDifferences:
             exact = f * (g**2 - 2)
             errs.append(np.max(np.abs(d - exact)))
         assert errs[1] < errs[0] / 12.0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [7, 8, 41])
+    def test_derivative_at_equals_full_grid(self, order, n):
+        x = np.linspace(0.0, 1.0, n)
+        f = np.exp(3j * x) * (1.0 + x**2)
+        full = fd_derivative(f, x[1] - x[0], order=order)
+        ends = [0, 1, n - 2, n - 1]
+        for idx in (np.array(ends), np.arange(2, n - 2), np.arange(n),
+                    np.array([n - 1, n // 2, 0, n // 2, 1, 3, n - 2])):
+            at = fd_derivative_at(f, x[1] - x[0], idx, order)
+            assert np.array_equal(at, full[idx])
+
+    def test_derivative_at_rejects_indices_off_the_grid(self):
+        f = np.ones(9, dtype=complex)
+        for idx in ([-1], [9]):
+            with pytest.raises(IndexError):
+                fd_derivative_at(f, 0.1, np.array(idx), 1)
 
     def test_complex_interp_outside_is_zero(self):
         x = np.linspace(0, 1, 11)

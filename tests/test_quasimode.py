@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from stripdamp import eigen, quasimode, verify
 from stripdamp.errors import PreconditionError
 from stripdamp.fits import loglog_fit
 from stripdamp.model import CutoffFunction, DampingProfile, select_h
-from stripdamp.quadrature import fd_derivative
+from stripdamp.quadrature import complex_interp, fd_derivative
 
 
 def _pointwise_residual(qm, profile):
@@ -21,6 +22,25 @@ def _pointwise_residual(qm, profile):
 def _relative_norm(qm, f, sel):
     """L2 norm of f over the nodes sel, relative to the full norm of qm.u."""
     return math.sqrt(np.sum(qm.w[sel] * np.abs(f[sel]) ** 2)) / qm.norm
+
+
+def _full_grid_profile(qm, F, L, nF, second_derivative):
+    """(v, dv, d2v) on the nodes x >= a, from derivatives of the half-line
+    factor F over its whole grid of nF intervals on [0, L], interpolated the
+    way build_quasimode did before it differenced only the bracketing points."""
+    eig = qm.eig
+    y = np.linspace(0.0, L, nF + 1)
+    dy = L / nF
+    F1 = fd_derivative(F, dy, order=1)
+    if second_derivative == "equation":
+        F2 = (1j * y**eig.beta - eig.eta) * F
+    else:
+        F2 = fd_derivative(F, dy, order=2)
+    v_at_a, _ = eigen.left_solution(np.array([eig.a]), eig.lambda_h, qm.h, eig.a)
+    B = complex(v_at_a[0]) / F[0]
+    yq = (qm.x[qm.x >= eig.a] - eig.a) / qm.s
+    return (B * complex_interp(yq, y, F), B * complex_interp(yq, y, F1) / qm.s,
+            B * complex_interp(yq, y, F2) / qm.s**2)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +79,51 @@ class TestAssembly:
         sol = eigen.find_eigenvalue(1, select_h(2048, 3.0), ctx)
         with pytest.raises(PreconditionError):
             quasimode.build_quasimode(sol, profile, cut)
+
+    def test_bad_second_derivative_fails_before_solving(self, qm1, profile1, cutoff,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(quasimode.cap, "boundary_pair",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="second_derivative"):
+            quasimode.build_quasimode(qm1.eig, profile1, cutoff, second_derivative="bogus")
+        assert calls == []
+
+    @pytest.mark.parametrize("second_derivative", ["equation", "fd"])
+    def test_bracket_derivatives_match_full_grid(self, profile1, cutoff, second_derivative,
+                                                 monkeypatch):
+        # differencing the factor only at the grid points that bracket a
+        # node gives the full-grid profile and measurements bit for bit
+        sol = eigen.find_eigenvalue(1, select_h(256, 3.0), verify.context_for(1.0))
+        solves = []
+        pair = quasimode.cap.boundary_pair
+
+        def recording_pair(eta, beta, L, n):
+            out = pair(eta, beta, L, n)
+            solves.append((L, n, out[2]))
+            return out
+
+        monkeypatch.setattr(quasimode.cap, "boundary_pair", recording_pair)
+        qm = quasimode.build_quasimode(sol, profile1, cutoff, cap_dx=2e-5,
+                                       second_derivative=second_derivative)
+        L, nF, F = solves[0]
+        assert nF == round(L / 2e-5)
+        right = qm.x >= sol.a
+        v, dv, d2v = (np.array(f) for f in (qm.v, qm.dv, qm.d2v))
+        v[right], dv[right], d2v[right] = _full_grid_profile(qm, F, L, nF, second_derivative)
+        assert np.array_equal(qm.v, v)
+        assert np.array_equal(qm.dv, dv)
+        assert np.array_equal(qm.d2v, d2v)
+
+        u = qm.phi * v
+        oracle = dataclasses.replace(qm, u=u, v=v, dv=dv, d2v=d2v)
+        norm_sq = float(np.sum(qm.w * np.abs(u) ** 2))
+        tail_sel = qm.x >= profile1.a + profile1.sigma
+        R_sq = qm.w * np.abs(_pointwise_residual(oracle, profile1)) ** 2
+        assert qm.norm == math.sqrt(norm_sq)
+        assert qm.tail == float(np.sum(qm.w[tail_sel] * np.abs(u[tail_sel]) ** 2) / norm_sq)
+        assert qm.residual == float(math.sqrt(np.sum(R_sq) / norm_sq))
+        assert qm.inner_residual == float(math.sqrt(np.sum(R_sq[~tail_sel]) / norm_sq))
 
 
 class TestAnsatz:

@@ -21,7 +21,12 @@ own `src`:
   DOP853 shooting (`cap.boundary_value_by_shooting`). On a checkout that
   has `cap.boundary_value`, the same is timed and printed for one
   `boundary_value` call (the extrapolated coarse pair the eigenvalue
-  matching reads) at beta = 0, 1 and 2.
+  matching reads) at beta = 0, 1 and 2. The four builds of the
+  `quasimode-profiles` workload (beta = 0, m = 2048 and 4096 at dx = 4e-5;
+  beta = 2, m = 512 and 1024 at dx = 1e-5, roots by continuation from a
+  cold start at the first m) are timed, best of 3, with one sha256 per
+  build over `x`, `w`, `u`, `v`, `dv`, `d2v`, `y_cap`, `F_cap` and the
+  floats `norm`, `residual`, `inner_residual` and `tail`.
 * stripbench: `stripbench/run.py --trace 0` on all four workloads, in N
   pairs that alternate which checkout runs first (the pairing code of
   `bench_resolvent.py`).
@@ -45,13 +50,17 @@ import bench_resolvent  # noqa: E402  (pins BLAS to one thread on import)
 WORKLOADS = ("branch-matching", "quasimode-profiles", "resolvent-peaks", "decay-and-controls")
 DEFAULT_GRID_ETA = 0.1 + 0.01j
 PROFILE_CASE = (0.0, 4096)   # (beta, m) of the quasimode-profiles workload's largest solve
+# the quasimode-profiles builds: the top of the beta = 0 residual sweep and
+# the bottom of the beta = 2 one
+PROFILE_BUILDS = ((0.0, slice(-2, None)), (2.0, slice(0, 2)))
+QUASIMODE_ARRAYS = ("x", "w", "u", "v", "dv", "d2v", "y_cap", "F_cap")
+QUASIMODE_FLOATS = ("norm", "residual", "inner_residual", "tail")
 
 
 def measure_kernel(src):
     """Kernel figures of the checkout whose package lives in src."""
     sys.path.insert(0, str(src))
-    from stripdamp import cap, eigen, quasimode, verify
-    from stripdamp.model import BC_DIRICHLET, select_h
+    from stripdamp import cap, verify
 
     cases = {}
     for beta in verify.BETAS:
@@ -59,12 +68,6 @@ def measure_kernel(src):
         cases[f"beta={beta:g} default grid"] = (DEFAULT_GRID_ETA, beta, L, cap.default_points(L))
 
     # the profile grid's arguments are recorded from the quasimode build itself
-    beta, m = PROFILE_CASE
-    cfg = verify.default_config(beta)
-    m_list, mesh = verify.RESIDUAL_SWEEP[beta]
-    ctx = eigen.build_context(beta, cfg.profile.a, 1, BC_DIRICHLET)
-    sols = eigen.eigen_sweep(ctx, [select_h(mm, cfg.profile.b) for mm in m_list])
-    sol = next(s for s in sols if s.h == select_h(m, cfg.profile.b))
     calls = []
     pair = cap.boundary_pair
 
@@ -74,9 +77,10 @@ def measure_kernel(src):
 
     cap.boundary_pair = recording_pair
     try:
-        quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=mesh)
+        builds = measure_builds()
     finally:
         cap.boundary_pair = pair
+    beta, m = PROFILE_CASE
     cases[f"beta={beta:g} m={m} profile grid"] = max(calls, key=lambda a: a[3])
 
     shot = {beta: cap.boundary_value_by_shooting(DEFAULT_GRID_ETA, beta, cap.default_truncation(beta))
@@ -102,15 +106,37 @@ def measure_kernel(src):
                 "eta": repr(DEFAULT_GRID_ETA), "L": L, "ms": round(best * 1e3, 3),
                 "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
                 "F0_err_vs_shooting": error(f0, beta)}
+    out.update(builds)
     return out
 
 
-def best_of_3(fn, *args):
+def measure_builds():
+    """Best-of-3 time and content hash of the quasimode-profiles builds."""
+    from stripdamp import quasimode, verify
+
+    out = {}
+    for beta, modes in PROFILE_BUILDS:
+        cfg = verify.default_config(beta)
+        m_list, mesh = verify.RESIDUAL_SWEEP[beta]
+        for m, sol in verify.mode_branch(beta, m_list[modes]):
+            qm, best = best_of_3(quasimode.build_quasimode, sol, cfg.profile, cfg.cutoff,
+                                 cap_dx=mesh)
+            digest = hashlib.sha256()
+            for name in QUASIMODE_ARRAYS:
+                digest.update(getattr(qm, name).tobytes())
+            digest.update(repr([getattr(qm, name) for name in QUASIMODE_FLOATS]).encode())
+            out[f"beta={beta:g} m={m} build_quasimode"] = {
+                "cap_dx": mesh, "nodes": int(qm.x.size), "s": round(best, 3),
+                "residual": qm.residual, "sha256": digest.hexdigest()}
+    return out
+
+
+def best_of_3(fn, *args, **kwargs):
     """(result, seconds) of the fastest of three calls."""
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        result = fn(*args)
+        result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
     return result, best
 
