@@ -9,7 +9,11 @@ singular value is obtained by Lanczos iteration on (P* P)^{-1} through one
 LAPACK factorization of the tridiagonal P (zgttrf), applied as two zgttrs
 solves per product. The supremum of the
 two-dimensional resolvent over transverse modes is realized near m = b q /
-(2 pi), so a scan maximizes over a small window of integers there.
+(2 pi), so a scan maximizes over a small window of integers there. It skips
+a mode whose norm is bounded below the best one found: P = (K + s) + i q W
+with K + s and q W Hermitian, so 1/norm is at least the distance from 0 to
+the rectangle [lambda_1 + s, lambda_n + s] x [q min W, q max W] that holds
+the numerical range of P.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from scipy.linalg import lapack
 
 from .errors import ResolutionError, RootFindError
 from .fits import FitResult, loglog_fit
-from .model import interior_grid
+from .model import grid_spacing, interior_grid
 from .quasimode import ansatz_params
 
 __all__ = [
@@ -68,15 +72,19 @@ class ReducedOperator:
     n: int
 
 
-def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
-    """Second-order finite-difference operator on the interior of (-b, b)."""
-    b = profile.b
+def _require_resolution(q: float, m: int, b: float, n: int) -> None:
     need = min_grid_size(q, m, b)
     if n < need:
         raise ResolutionError(
             f"n = {n} under-resolves (q = {q}, m = {m}): need at least {need} "
             "points (20 per effective wavelength)"
         )
+
+
+def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
+    """Second-order finite-difference operator on the interior of (-b, b)."""
+    b = profile.b
+    _require_resolution(q, m, b, n)
     x, dx = interior_grid(b, n)
     W = profile.damping(x)
     diag = 2.0 / dx**2 + 1j * q * W + (4.0 * math.pi**2 * m**2 / b**2 - q * q)
@@ -143,13 +151,51 @@ def _m_window(q: float, b: float):
     return [mm for mm in range(center - 3, center + 4) if mm >= 1]
 
 
+# Relative margin by which the numerical-range bound of a mode must fall below
+# the best norm before scan_point skips the mode: far above the Lanczos tol,
+# so a skipped mode could not have replaced the maximum.
+SKIP_MARGIN = 1e-6
+
+
+def _numerical_range_distance(q: float, m: int, b: float, n: int,
+                              w_min: float, w_max: float) -> float:
+    """Distance from 0 to a rectangle holding the numerical range of P(q, m).
+
+    The Hermitian part K + s has the closed-form spectrum lambda_k + s of the
+    discrete Dirichlet -d^2/dx^2, and q W ranges over [q min W, q max W], so
+    |<P u, u>| >= this distance for unit u and norm(q, m) <= 1 / distance.
+    """
+    dx = grid_spacing(b, n)
+    s = 4.0 * math.pi**2 * m**2 / b**2 - q * q
+    lam1 = 4.0 / dx**2 * math.sin(math.pi / (2.0 * (n + 1))) ** 2
+    re_lo, re_hi = lam1 + s, 4.0 / dx**2 - lam1 + s
+    im_lo, im_hi = sorted((q * w_min, q * w_max))
+    return math.hypot(max(re_lo, -re_hi, 0.0), max(im_lo, -im_hi, 0.0))
+
+
 def scan_point(q: float, profile, n: int | None = None) -> ResolventSample:
-    """Worst resolvent norm over transverse modes near resonance with q."""
-    mms = _m_window(q, profile.b)
+    """Worst resolvent norm over transverse modes near resonance with q.
+
+    The modes run in ascending order and a later one replaces the maximum
+    only when its norm is strictly larger. A mode is skipped, with no solve,
+    when its numerical-range bound 1/d is below best.norm * (1 - SKIP_MARGIN):
+    its norm cannot reach the maximum, so the returned sample is the one an
+    unpruned scan returns. A skipped mode has d > 0, so P is nonsingular
+    there, and every mode of the window is still checked for resolution.
+    """
+    b = profile.b
+    mms = _m_window(q, b)
     if n is None:
-        n = max(4000, max(min_grid_size(q, mm, profile.b) for mm in mms))
+        n = max(4000, max(min_grid_size(q, mm, b) for mm in mms))
+    for mm in mms:
+        _require_resolution(q, mm, b, n)
+    W = profile.damping(interior_grid(b, n)[0])
+    w_min, w_max = float(np.min(W)), float(np.max(W))
     best = None
     for mm in mms:
+        d = _numerical_range_distance(q, mm, b, n, w_min, w_max)
+        if best is not None and best.norm * (1.0 - SKIP_MARGIN) * d > 1.0:
+            continue
         samp = resolvent_norm(q, mm, profile, n)
         if best is None or samp.norm > best.norm:
             best = samp

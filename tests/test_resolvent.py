@@ -7,7 +7,7 @@ import pytest
 
 from stripdamp import eigen, quasimode, resolvent, verify
 from stripdamp.errors import ResolutionError, RootFindError, StripDampError
-from stripdamp.model import UniformDamping, select_h
+from stripdamp.model import DampingProfile, UniformDamping, interior_grid, select_h
 
 
 class TestAssembly:
@@ -139,6 +139,86 @@ class TestScan:
 
             grid = np.linspace(0.01, 1.5, 500)
             assert worst(gamma) <= min(worst(g) for g in grid) + 1e-9
+
+
+def _range_distance(q, m, profile, n):
+    W = profile.damping(interior_grid(profile.b, n)[0])
+    return resolvent._numerical_range_distance(q, m, profile.b, n, W.min(), W.max())
+
+
+def _unpruned_scan_point(q, profile, n=None):
+    """The maximum over the whole window, one solve per mode."""
+    mms = resolvent._m_window(q, profile.b)
+    if n is None:
+        n = max(4000, max(resolvent.min_grid_size(q, mm, profile.b) for mm in mms))
+    best = None
+    for mm in mms:
+        samp = resolvent.resolvent_norm(q, mm, profile, n)
+        if best is None or samp.norm > best.norm:
+            best = samp
+    return best
+
+
+class TestNumericalRangeSkip:
+    """scan_point skips a mode whose norm 1/dist(0, numerical range) bounds
+    below the best one found, and returns what the unpruned maximum does."""
+
+    PROFILES = {
+        "W=0": UniformDamping(0.0, 3.0),
+        "W=1": UniformDamping(1.0, 3.0),
+        **{f"strip beta={beta:g}": DampingProfile(beta=beta, a=1.0, sigma=1.0, b=3.0)
+           for beta in (0.0, 1.0, 2.0)},
+    }
+
+    # q = 40 resonates with m = b q / (2 pi) = 19.1
+    @pytest.mark.parametrize("m", [16, 19, 22], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("name", list(PROFILES))
+    def test_bound_dominates_norm(self, name, m):
+        q, n, profile = 40.0, 4000, self.PROFILES[name]
+        d = _range_distance(q, m, profile, n)
+        assert resolvent.resolvent_norm(q, m, profile, n).norm * d <= 1.0 + 1e-9
+
+    def test_bound_exact_for_uniform_damping_above_resonance(self):
+        # P = K + s + i q is normal, and lambda_1 + s > 0 puts the nearest
+        # eigenvalue at the corner of the numerical range
+        b, n, q, m = 3.0, 4000, 40.0, 22
+        dx = 2.0 * b / (n + 1)
+        k = np.arange(1, n + 1)
+        eigs = 4.0 / dx**2 * np.sin(k * math.pi * dx / (4.0 * b)) ** 2 \
+            + 4.0 * math.pi**2 * m**2 / b**2 - q * q
+        assert eigs.min() > 0
+        exact = 1.0 / np.min(np.abs(eigs + 1j * q))
+        d = _range_distance(q, m, UniformDamping(1.0, b), n)
+        assert 1.0 / d == pytest.approx(exact, rel=1e-8)
+
+    def test_gcc_grid_equals_unpruned(self):
+        gcc = UniformDamping(1.0, 3.0)
+        for q in np.geomspace(20.0, 640.0, 6):
+            assert resolvent.scan_point(q, gcc) == _unpruned_scan_point(q, gcc)
+
+    def test_pinned_scan_equals_unpruned(self, profile1):
+        _, scan = verify.time_pinned_resolvent_scan(1.0)
+        for samp in scan.samples[::5]:
+            assert samp == _unpruned_scan_point(samp.q, profile1, n=4000)
+
+    @pytest.mark.parametrize("q, modes", [(640.0, [303, 304, 305]), (20.0, [7, 8, 9])])
+    def test_uniform_pair_solves_three_modes(self, q, modes, monkeypatch):
+        solved = []
+        norm = resolvent.resolvent_norm
+
+        def spy(*args, **kwargs):
+            solved.append(args[1])
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "resolvent_norm", spy)
+        samp = resolvent.scan_point(q, UniformDamping(1.0, 3.0))
+        assert solved == modes
+        assert samp.m in modes
+
+    def test_skipped_mode_still_checked_for_resolution(self):
+        # at q = 640 the skipped m = 309 needs 1835 points, the solved m = 303 only 1584
+        with pytest.raises(ResolutionError, match=r"m = 309\)"):
+            resolvent.scan_point(640.0, UniformDamping(1.0, 3.0), n=1700)
 
 
 class TestPeakMode:

@@ -12,8 +12,11 @@ own `src`:
   (best of 3) and the number of (P*P)^-1 products, at the four branch sizes
   of `RESOLVENT_BRANCH_M` the kernel spans and on the clustered
   uniform-damping spectrum; the scan seconds `verify.resolvent_scan`
-  returns at beta = 0, 1 and 2; and the seconds of the `resolvent-gcc`
-  stage.
+  returns at beta = 0, 1 and 2; and, for `scan_and_fit` on the benchmark's
+  uniform pair q = 20, 640, on the six-q grid of the `resolvent-gcc` stage
+  and on the pinned n = 4000 scans at beta = 0, 1 and 2, the time (best
+  of 3), the number of `resolvent_norm` calls and a digest of the samples
+  and fitted slope.
 * stripbench: `stripbench/run.py --trace 0` on `resolvent-peaks` and
   `decay-and-controls`, in N pairs that alternate which checkout runs first,
   with each side's median and quartiles of `wall_s`, `setup_s` and
@@ -29,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -71,9 +75,7 @@ def measure_kernel(src):
                                                  "slope": scan.fit.slope}
     finally:
         resolvent.resolvent_norm = norm
-    t0 = time.perf_counter()
-    verify.check_resolvent_gcc_control()
-    gcc_s = time.perf_counter() - t0
+    scan_and_fit = measure_scan_and_fit(resolvent, verify, UniformDamping(1.0, 3.0))
 
     products = [0]
     eigsh = resolvent.spla.eigsh
@@ -104,7 +106,44 @@ def measure_kernel(src):
         calls[f"uniform W=1 q={q:g} m={m}"] = one_call(q, m, UniformDamping(1.0, 3.0), n)
     finally:
         resolvent.spla.eigsh = eigsh
-    return {"calls": calls, "scans": scans, "resolvent-gcc_s": round(gcc_s, 3)}
+    return {"calls": calls, "scans": scans, "scan_and_fit": scan_and_fit}
+
+
+def measure_scan_and_fit(resolvent, verify, uniform):
+    """Time, resolvent_norm calls and output digest of scan_and_fit per input."""
+    import numpy as np
+
+    inputs = {
+        "uniform pair": lambda: resolvent.scan_and_fit((20.0, 640.0), uniform),
+        "gcc grid": lambda: resolvent.scan_and_fit(np.geomspace(20.0, 640.0, 6), uniform),
+        **{f"pinned beta={beta:g}": lambda beta=beta: verify.time_pinned_resolvent_scan(beta)[1]
+           for beta in verify.BETAS},
+    }
+    ncalls = [0]
+    norm = resolvent.resolvent_norm
+
+    def counting_norm(*args, **kwargs):
+        ncalls[0] += 1
+        return norm(*args, **kwargs)
+
+    out = {}
+    resolvent.resolvent_norm = counting_norm
+    try:
+        for name, run in inputs.items():
+            best = math.inf
+            for _ in range(3):
+                ncalls[0] = 0
+                t0 = time.perf_counter()
+                scan = run()
+                best = min(best, time.perf_counter() - t0)
+            exact = [(s.q.hex(), s.m, s.norm.hex(), s.n) for s in scan.samples]
+            digest = hashlib.sha256(repr((exact, scan.fit.slope.hex())).encode()).hexdigest()
+            out[name] = {"s": round(best, 3), "resolvent_norm_calls": ncalls[0],
+                         "modes": [s.m for s in scan.samples], "slope": scan.fit.slope,
+                         "sha256": digest[:16]}
+    finally:
+        resolvent.resolvent_norm = norm
+    return out
 
 
 def run_json(cmd, cwd):
