@@ -184,17 +184,13 @@ def boundary_value(eta, beta, L):
     return (4.0 * f_f - f_c) / 3.0, (4.0 * df_f - df_c) / 3.0
 
 
-def solve_cap(
-    eta: complex,
-    beta: float,
-    L: float | None = None,
-    n: int | None = None,
-) -> CapSolution:
+def solve_cap(eta: complex, beta: float) -> CapSolution:
     """Unique decaying solution of the half-line problem with F'(0) = 1.
 
-    Raises AdmissibilityError when |eta| leaves the controlled disk and
-    TruncationError when the solution has not decayed at the cut (advice:
-    increase L).
+    Solved on [0, L] with L = default_truncation(beta), on the
+    default_points(L) intervals of spacing 2.5e-4. Raises
+    AdmissibilityError when |eta| leaves the controlled disk and
+    TruncationError when the solution has not decayed at the cut.
     """
     if beta < 0:
         raise DomainError(f"beta must be >= 0 (got {beta})")
@@ -204,12 +200,8 @@ def solve_cap(
             f"|eta| = {abs(eta):.4f} outside the admissible disk of radius "
             f"{ground.admissible_radius:.4f}"
         )
-    if L is None:
-        L = default_truncation(beta)
-    if n is None:
-        n = default_points(L)
-    if n < 1000:
-        raise DomainError(f"n must be at least 1000 (got {n})")
+    L = default_truncation(beta)
+    n = default_points(L)
     f0, _, F = boundary_pair(eta, beta, L, n)
     x = np.linspace(0.0, L, n + 1)
     dx = L / n
@@ -217,8 +209,8 @@ def solve_cap(
     tail_ratio = float(abs(F[-1])) / amax
     if tail_ratio > 1e-5:
         raise TruncationError(
-            f"|F(L)|/max|F| = {tail_ratio:.2e} exceeds 1.0e-05; "
-            "increase the truncation length L"
+            f"|F(L)|/max|F| = {tail_ratio:.2e} exceeds 1.0e-05 at L = {L:g}; "
+            "increase the truncation length (default_truncation)"
         )
     # integrated identity: conj(F(0)) + int |F'|^2 + i int x^beta |F|^2
     #                      - eta int |F|^2 = 0

@@ -167,11 +167,14 @@ def cmd_resolvent_scan(args):
     path = write_csv(out / "resolvent_scan.csv", verify.resolvent_rows(scan.samples))
     if args.dump_operator:
         import scipy.io
+        import scipy.sparse as sp
         s0 = scan.samples[0]
         op = resolvent.assemble_reduced_operator(s0.q, s0.m,
                                                  verify.default_config(beta).profile, s0.n)
+        off = np.full(op.n - 1, -1.0 / op.dx**2)
+        matrix = sp.diags([off, op.diag, off], [-1, 0, 1], format="csc", dtype=complex)
         mtx = out / f"operator_q{s0.q:.3f}_m{s0.m}.mtx"
-        scipy.io.mmwrite(str(mtx), op.matrix)
+        scipy.io.mmwrite(str(mtx), matrix)
         print(f"wrote {mtx}")
     lo, hi = verify.resolvent_band(beta)
     print(f"growth exponent {scan.fit.slope:.4f} (verify-all band [{lo:.4f}, {hi:.4f}])")

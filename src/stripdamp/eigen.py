@@ -131,7 +131,7 @@ def compatibility_value(mu: complex, h: float, ctx: EigenContext):
     eps = h**eps_pow
     lam = np.pi * l * h / a + C * h**lam_pow
     eta = _eta_of(lam, h, beta)
-    if abs(eta) > 0.5 * ctx.lambda1 * (1.0 + 1e-6):
+    if not cap.check_eta_admissible(eta, cap.neumann_ground(beta)):
         raise AdmissibilityError(
             f"induced |eta| = {abs(eta):.4f} exceeds {0.5 * ctx.lambda1:.4f}; "
             "reduce h"
@@ -264,7 +264,7 @@ def admissible_h_max(ctx: EigenContext) -> float:
     """
     beta, a, l = ctx.beta, ctx.a, ctx.l
     _, lam_pow = ctx.exponents()
-    target = 0.5 * ctx.lambda1
+    target = cap.neumann_ground(beta).admissible_radius
 
     def worst_eta(h):
         lam_max = np.pi * abs(l) * h / a + (abs(ctx.A1) + 1.0) * h**lam_pow
@@ -303,7 +303,7 @@ def raw_compatibility_root(
 
     def D(lam):
         eta = _eta_of(lam, h, beta)
-        if abs(eta) > 0.5 * ctx.lambda1:
+        if not cap.check_eta_admissible(eta, cap.neumann_ground(beta)):
             raise AdmissibilityError(
                 f"secant wandered to |eta| = {abs(eta):.3f}; shrink h"
             )

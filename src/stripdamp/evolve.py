@@ -198,14 +198,14 @@ def evolve(
     return (trace, states) if store_states else trace
 
 
-def fit_decay(trace: EnergyTrace, *, curvature_tol: float = 0.25) -> RateFit:
+def fit_decay(trace: EnergyTrace) -> RateFit:
     """Power-law rate from log E against log t.
 
     The window drops the first tenth of the horizon (transient) and must span
     at least a decade. Returns alpha-hat = -slope/2. The fit is flagged
     inconclusive, with no exponent asserted, when r^2 drops below 0.9 or
-    when the two window halves disagree on the slope by more than
-    curvature_tol relative (an exponential trace bends in log-log but can
+    when the two window halves disagree on the slope by more than 0.25
+    relative (an exponential trace bends in log-log but can
     still score r^2 around 0.93 over a single decade, so the bend test is
     what actually catches the model mismatch).
     """
@@ -232,7 +232,7 @@ def fit_decay(trace: EnergyTrace, *, curvature_tol: float = 0.25) -> RateFit:
     reason = ""
     if fit.r2 < 0.9:
         reason = "r2"
-    elif bend > curvature_tol:
+    elif bend > 0.25:
         reason = "curvature"
     inconclusive = bool(reason)
     return RateFit(

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-JOIN_CONSTANT = "constant"
-JOIN_SMOOTH = "smooth"
-
 BC_DIRICHLET = "dirichlet"
 
 
@@ -46,15 +43,14 @@ class DampingProfile:
     a:      half-width of the undamped strip
     sigma:  width of the polynomial-growth region
     b:      half-width of the domain
-    join:   'constant' holds the outer region at sigma**beta;
-            'smooth' blends to the constant (2*sigma)**beta by a + 2*sigma
+
+    The outer region a + sigma < |x| < b is held at the constant sigma**beta.
     """
 
     beta: float
     a: float
     sigma: float
     b: float
-    join: str = JOIN_CONSTANT
 
     def __post_init__(self):
         violations = []
@@ -67,12 +63,6 @@ class DampingProfile:
         if not self.a + self.sigma < self.b:
             violations.append(
                 f"a + sigma < b required (got a+sigma={self.a + self.sigma}, b={self.b})"
-            )
-        if self.join not in (JOIN_CONSTANT, JOIN_SMOOTH):
-            violations.append(f"join must be 'constant' or 'smooth' (got {self.join!r})")
-        if self.join == JOIN_SMOOTH and not self.a + 2 * self.sigma < self.b:
-            violations.append(
-                "smooth join needs a + 2*sigma < b so the constant plateau exists"
             )
         if violations:
             raise ConfigError(violations)
@@ -92,15 +82,7 @@ class DampingProfile:
         if np.any(ax > self.b * (1 + 1e-12)):
             raise DomainError(f"|x| > b = {self.b} in damping evaluation")
         mid = self.edge_power(x)
-        if self.join == JOIN_CONSTANT:
-            outer = np.full_like(ax, self.sigma**self.beta)
-        else:
-            # blend (|x|-a)^beta into the constant (2 sigma)^beta across one
-            # extra sigma; the step is flat to all orders at a + sigma so W
-            # stays smooth there
-            f = _falling_step((ax - (self.a + self.sigma)) / self.sigma)
-            outer = f * mid + (1.0 - f) * (2.0 * self.sigma) ** self.beta
-        w = np.where(ax <= self.a + self.sigma, mid, outer)
+        w = np.where(ax <= self.a + self.sigma, mid, self.sigma**self.beta)
         return w if w.shape else float(w)
 
 

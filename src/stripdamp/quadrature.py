@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def gauss_panels(breakpoints, max_widths, nodes_per_panel=10):
-    """Composite Gauss-Legendre rule on [breakpoints[0], breakpoints[-1]].
+def gauss_panels(breakpoints, max_widths):
+    """Composite 10-node Gauss-Legendre rule on [breakpoints[0], breakpoints[-1]].
 
     breakpoints: increasing sequence; panels never straddle one, so kinks of
     the integrand should be listed here.
@@ -18,7 +18,7 @@ def gauss_panels(breakpoints, max_widths, nodes_per_panel=10):
         raise ValueError("breakpoints must be strictly increasing")
     nseg = len(breakpoints) - 1
     widths = np.broadcast_to(np.asarray(max_widths, dtype=float), (nseg,))
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gx, gw = np.polynomial.legendre.leggauss(10)
     xs, ws = [], []
     for (lo, hi), wmax in zip(zip(breakpoints[:-1], breakpoints[1:]), widths):
         npanel = max(1, int(np.ceil((hi - lo) / wmax)))

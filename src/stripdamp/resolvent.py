@@ -7,7 +7,7 @@ For real driving frequency q and transverse index m the reduced operator is
 with Dirichlet ends. Its inverse norm is 1/sigma_min(P); the smallest
 singular value is obtained by Lanczos iteration on (P* P)^{-1} through one
 LAPACK factorization of the tridiagonal P (zgttrf), applied as two zgttrs
-solves per product. The supremum of the
+solves per product; P is kept as its three diagonals. The supremum of the
 two-dimensional resolvent over transverse modes is realized near m = b q /
 (2 pi), so a scan maximizes over a small window of integers there. It skips
 a mode whose norm is bounded below the best one found: P = (K + s) + i q W
@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
@@ -56,15 +55,20 @@ def effective_wavenumber(q: float, m: int, b: float) -> float:
     return math.sqrt(abs(q * q - 4.0 * math.pi**2 * m**2 / b**2))
 
 
-def min_grid_size(q: float, m: int, b: float, points_per_wavelength: int = 20) -> int:
-    """Interior points needed to resolve the reduced problem at (q, m)."""
+def min_grid_size(q: float, m: int, b: float) -> int:
+    """Interior points needed to resolve the reduced problem at (q, m).
+
+    20 points per effective wavelength 2 pi / effective_wavenumber on (-b, b).
+    """
     kappa = effective_wavenumber(q, m, b)
-    return int(math.ceil(points_per_wavelength * kappa * b / math.pi))
+    return int(math.ceil(20 * kappa * b / math.pi))
 
 
 @dataclass(frozen=True)
 class ReducedOperator:
-    matrix: sp.csc_matrix
+    """P(q, m) on n interior points: the diagonal diag, and -1/dx^2 off it."""
+
+    diag: np.ndarray
     x: np.ndarray
     dx: float
     q: float
@@ -88,9 +92,7 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOpera
     x, dx = interior_grid(b, n)
     W = profile.damping(x)
     diag = 2.0 / dx**2 + 1j * q * W + (4.0 * math.pi**2 * m**2 / b**2 - q * q)
-    off = np.full(n - 1, -1.0 / dx**2)
-    matrix = sp.diags([off, diag, off], [-1, 0, 1], format="csc", dtype=complex)
-    return ReducedOperator(matrix=matrix, x=x, dx=dx, q=float(q), m=int(m), n=int(n))
+    return ReducedOperator(diag=diag, x=x, dx=dx, q=float(q), m=int(m), n=int(n))
 
 
 # Lanczos basis size of the sigma_min iteration. ARPACK fills the whole basis
@@ -109,9 +111,10 @@ class ResolventSample:
     n: int
 
 
-def _smallest_singular_value(A: sp.csc_matrix, tol: float) -> float:
-    n = A.shape[0]
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+def _smallest_singular_value(op: ReducedOperator, tol: float) -> float:
+    n = op.n
+    off = np.full(n - 1, -1.0 / op.dx**2, dtype=complex)
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(off, op.diag, off)
     if info > 0:
         raise RuntimeError(f"P is singular: zgttrf found a zero pivot U({info}, {info})")
 
@@ -137,7 +140,7 @@ def resolvent_norm(q: float, m: int, profile, n: int, *,
     """
     op = assemble_reduced_operator(q, m, profile, n)
     try:
-        smin = _smallest_singular_value(op.matrix, tol)
+        smin = _smallest_singular_value(op, tol)
     except RuntimeError as exc:  # ArpackNoConvergence, or a zero pivot
         raise RootFindError(
             f"sigma_min failed at (q, m, n) = ({q!r}, {m}, {n}): {exc}"
@@ -221,26 +224,26 @@ def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
     return ScanResult(samples=samples, fit=fit)
 
 
-def scan_peaks(eigs, profile, *, points_per_wavelength: int = 20) -> ScanResult:
+def scan_peaks(eigs, profile) -> ScanResult:
     """Resolvent norm at each branch's predicted peak, one solve per branch.
 
     For each branch the peak sits at Re q of the constructed quasimode
     frequency, on the branch's own transverse mode m = b / (2 pi h^2). The
     prediction is the peak: on the pinned branches norm * 2 Re q |Im q| is
     1.00-1.01, and a search in q around it never moved the reported sample.
-    Grid sizes follow the effective wavenumber over the modes within 3 of
-    resonance plus the boundary-layer scale of the expected minimal singular
-    vector.
+    Grid sizes put 20 points on each effective wavelength over the modes
+    within 3 of resonance and on each boundary-layer width of the expected
+    minimal singular vector.
     """
     b = profile.b
     samples = []
     for eig in eigs:
         q, m = ansatz_params(eig, b)
         q_pred = float(q.real)
-        n_osc = max(min_grid_size(q_pred, mm, b, points_per_wavelength)
+        n_osc = max(min_grid_size(q_pred, mm, b)
                     for mm in _m_window(q_pred, b))
         layer = eig.h ** (2.0 / (eig.beta + 2.0))
-        n_layer = int(math.ceil(points_per_wavelength * 2.0 * b / layer))
+        n_layer = int(math.ceil(20 * 2.0 * b / layer))
         n = max(4000, n_osc, n_layer)
         samples.append(resolvent_norm(q_pred, m, profile, n))
     samples.sort(key=lambda s: s.q)
@@ -260,6 +263,9 @@ def quasimode_lower_bound(qm, profile, n: int | None = None) -> ResolventSample:
         n = max(4000, min_grid_size(q, qm.m, qm.b), n_layer)
     op = assemble_reduced_operator(q, qm.m, profile, n)
     u = qm.evaluate(op.x)
-    Pu = op.matrix @ u
+    off = -1.0 / op.dx**2
+    Pu = op.diag * u
+    Pu[1:] += off * u[:-1]
+    Pu[:-1] += off * u[1:]
     bound = float(np.linalg.norm(u) / np.linalg.norm(Pu))
     return ResolventSample(q=q, m=qm.m, norm=bound, n=n)

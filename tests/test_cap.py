@@ -110,10 +110,11 @@ class TestBoundaryValue:
         assert abs(df0 - fd) / abs(fd) < 1e-5
 
     def test_truncation_stability(self):
-        # doubling (L, n) together isolates the cut-off error
-        a = cap.solve_cap(0.3, 2.0, L=10.0, n=40000)
-        b = cap.solve_cap(0.3, 2.0, L=20.0, n=80000)
-        assert abs(a.boundary_value - b.boundary_value) < 1e-8
+        # doubling (L, n) together isolates the cut-off error; boundary_pair's
+        # F(0) is the boundary value solve_cap returns
+        a = cap.boundary_pair(0.3, 2.0, 10.0, 40000)[0]
+        b = cap.boundary_pair(0.3, 2.0, 20.0, 80000)[0]
+        assert abs(a - b) < 1e-8
 
     def test_shooting_cross_check_grid(self):
         ground = cap.neumann_ground(1.0)
@@ -136,9 +137,10 @@ class TestBoundaryValue:
         ) / (12 * dx)
         assert abs(one_sided - 1.0) < 1e-7
 
-    def test_tail_guard_raises_for_short_cut(self):
+    def test_tail_guard_raises_for_short_cut(self, monkeypatch):
+        monkeypatch.setattr(cap, "default_truncation", lambda beta: 1.0)
         with pytest.raises(TruncationError):
-            cap.solve_cap(0.0, 1.0, L=1.0, n=5000)
+            cap.solve_cap(0.0, 1.0)
 
     def test_derivative_of_boundary_value(self):
         # exact discrete derivative vs a centered difference at a step large
@@ -204,7 +206,7 @@ class TestAdmissibility:
         for ang in np.linspace(0, 2 * np.pi, 12, endpoint=False):
             for rho in (0.5 * r, 0.95 * r):
                 eta = rho * np.exp(1j * ang)
-                vals.append(abs(cap.solve_cap(eta, 1.0, n=20000).boundary_value))
+                vals.append(abs(cap.solve_cap(eta, 1.0).boundary_value))
         vals = np.array(vals)
         assert vals.min() > 0.2 and vals.max() < 5.0
 

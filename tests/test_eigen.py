@@ -175,3 +175,12 @@ class TestRawCompatibilityRoot:
         h0 = eigen.admissible_h_max(ctx1)
         assert 0.01 < h0 < 0.2
         eigen.find_eigenvalue(1, 0.45 * h0, ctx1)  # solvable well inside
+
+    def test_both_paths_use_the_cap_admissibility_test(self, ctx1, monkeypatch):
+        # the Newton and the raw-determinant paths both ask cap whether eta is
+        # admissible, so a refusal there stops each of them, well inside the disk
+        monkeypatch.setattr(cap, "check_eta_admissible", lambda eta, ground: False)
+        with pytest.raises(AdmissibilityError):
+            eigen.find_eigenvalue(1, 0.025, ctx1)
+        with pytest.raises(AdmissibilityError):
+            eigen.raw_compatibility_root(1, 0.025, ctx1)

@@ -214,7 +214,7 @@ class TestDecayBand:
         for tr in traces:
             total += np.interp(tgrid, tr.times, tr.energies)
         fit = evolve.fit_decay(
-            evolve.EnergyTrace(tgrid, total, m=0), curvature_tol=1.0
+            evolve.EnergyTrace(tgrid, total, m=0)
         )
         alpha = fit.exponent if fit.exponent is not None else -0.5 * fit.fit.slope
         lo = (beta + 2) / (beta + 4) - 0.15

@@ -52,19 +52,6 @@ class TestDampingProfile:
         outer = np.linspace(p.a + p.sigma, p.b, 200)
         assert np.all(p.damping(outer) >= p.sigma**p.beta)
 
-    def test_smooth_join_reaches_plateau(self):
-        p = DampingProfile(beta=1.0, a=0.5, sigma=0.5, b=3.0, join="smooth")
-        assert p.damping(p.a + 2 * p.sigma + 0.1) == pytest.approx(
-            (2 * p.sigma) ** p.beta
-        )
-        outer = np.linspace(p.a + p.sigma, p.b, 400)
-        assert np.all(p.damping(outer) >= p.sigma**p.beta - 1e-14)
-        # join is smooth at a + sigma: values approach the edge power there
-        eps = 1e-4
-        assert p.damping(p.a + p.sigma + eps) == pytest.approx(
-            p.edge_power(p.a + p.sigma + eps), rel=1e-6
-        )
-
     def test_invalid_geometry_collects_violations(self):
         with pytest.raises(ConfigError) as exc:
             DampingProfile(beta=1.0, a=2.0, sigma=1.5, b=3.0)

@@ -1,10 +1,19 @@
-"""Every defaulted parameter of the library is set by at least one caller.
+"""Every defaulted parameter of the library is set by at least one program.
 
-A keyword option that no call site in ``src/``, ``tests/`` or
-``stripbench/`` ever passes is a constant in disguise: it doubles the
-configurations a reader must consider without any caller needing the second
-one. This test parses the package and every caller, and fails on each
-defaulted parameter nobody passes, unless ``ALLOWED`` names it with a reason.
+A keyword option that no call site in ``src/`` or ``stripbench/`` ever
+passes is a constant in disguise: it doubles the configurations a reader
+must consider without any program needing the second one. A test is not a
+caller here: a knob that only tests turn is a constant too, and a test that
+needs another value builds it from the pieces the constant feeds. This test
+parses the package and every program file (the ``tests`` directories of
+both trees excluded), and fails on each defaulted parameter no program
+passes, unless ``ALLOWED`` names it with a reason.
+
+The fields of a ``@dataclass`` are options of its generated ``__init__``:
+a field with a plain default (or ``field(default=...)``) counts as a
+defaulted parameter, set by a call ``Cls(...)`` by keyword or by position.
+A ``field(default_factory=...)`` is an accumulator the class fills itself,
+not an option.
 
 Call sites are matched to definitions by name only (``f(...)`` and
 ``obj.f(...)`` both match every ``def f``), so same-named functions share
@@ -25,10 +34,11 @@ The command line follows the same rule: every option string of
 
 The same holds for whole names: every function, class, method and property
 of the package must be referenced from ``src/`` or ``stripbench/``, not only
-from ``tests/``, unless ``TEST_ONLY`` names it with a reason. Names are
-matched as for the options: an identifier, an attribute or a string constant
-(``verify``'s stage tables name their checks) counts wherever it appears,
-except inside the definition it names and in ``__all__``.
+from ``tests/`` or ``stripbench/tests/``, unless ``TEST_ONLY`` names it with
+a reason. Names are matched as for the options: an identifier, an attribute
+or a string constant (``verify``'s stage tables name their checks) counts
+wherever it appears, except inside the definition it names and in
+``__all__``.
 
 Two rules keep the gate one statement: every bound a ``check_*`` function of
 ``verify`` compares against is a named entry of ``THRESHOLDS``, which the
@@ -48,16 +58,27 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stripdamp"
 CALLER_DIRS = (ROOT / "src", ROOT / "tests", ROOT / "stripbench")
 
-# (module, function, parameter) kept although no call site sets it
+# (module, function, parameter) kept although no program call sets it
 ALLOWED = {
     # stripbench/tracing.py binds find_eigenvalue's arguments and reads
     # max_iter to count runs that iterate to the limit
     ("eigen", "find_eigenvalue", "max_iter"): "read by the benchmark's tracer",
-    # independent oracles keep their own tolerances, untouched by design
+    # stripbench/tracing.py reads the tol default through inspect.signature
+    # to tell coarse solves from default ones
+    ("resolvent", "resolvent_norm", "tol"): "default read by the benchmark's tracer",
+    # the "fd" path differences the solved factor twice; tests compare the
+    # collapsed residual against it
+    ("quasimode", "build_quasimode", "second_derivative"): "cross-check path",
+    # independent oracles keep their own tolerances and grids, untouched by design
     ("cap", "boundary_value_by_shooting", "L"): "independent oracle",
     ("cap", "boundary_value_by_shooting", "rtol"): "independent oracle",
     ("eigen", "raw_compatibility_root", "tol"): "independent oracle",
     ("eigen", "raw_compatibility_root", "max_iter"): "independent oracle",
+    ("quasimode", "direct_residual_norm", "n"): "independent oracle",
+    ("resolvent", "quasimode_lower_bound", "n"): "independent oracle",
+    # the console script calls main() with no arguments; argv exists so the
+    # command line can be driven from Python
+    ("cli", "main", "argv"): "entry point",
 }
 
 # (module, qualified name) kept although only tests reference it
@@ -71,21 +92,63 @@ TEST_ONLY = {
 
 
 class _Def:
-    """Signature facts of one function defined in the package."""
+    """Signature facts of one function, or of one dataclass's ``__init__``."""
 
-    def __init__(self, module: str, fn: ast.FunctionDef, in_class: bool):
+    def __init__(self, key, positional, defaulted, kwonly=(), varkw=None,
+                 is_method=False, assigned=frozenset(), is_dataclass=False):
+        self.key = key
+        self.positional = positional
+        self.named = set(positional) | set(kwonly)
+        self.defaulted = defaulted
+        self.varkw = varkw
+        self.is_method = is_method
+        self.assigned = assigned
+        self.is_dataclass = is_dataclass
+
+    @classmethod
+    def of_function(cls, module: str, fn: ast.FunctionDef, in_class: bool):
         args = fn.args
-        self.key = (module, fn.name)
-        self.positional = [a.arg for a in args.posonlyargs + args.args]
-        self.named = set(self.positional) | {a.arg for a in args.kwonlyargs}
-        self.defaulted = set(self.positional[len(self.positional) - len(args.defaults):]
-                             if args.defaults else ())
-        self.defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                           if d is not None}
-        self.varkw = args.kwarg.arg if args.kwarg else None
-        self.is_method = in_class and self.positional[:1] in (["self"], ["cls"])
-        self.assigned = {n.id for n in ast.walk(fn)
-                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = set(positional[len(positional) - len(args.defaults):]
+                        if args.defaults else ())
+        defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None}
+        return cls(
+            (module, fn.name), positional, defaulted,
+            kwonly=[a.arg for a in args.kwonlyargs],
+            varkw=args.kwarg.arg if args.kwarg else None,
+            is_method=in_class and positional[:1] in (["self"], ["cls"]),
+            assigned={n.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)},
+        )
+
+    @classmethod
+    def of_dataclass(cls, module: str, node: ast.ClassDef):
+        fields = [(f.target.id, f.value) for f in node.body
+                  if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        defaulted = {name for name, value in fields if _plain_default(value)}
+        return cls((module, node.name), [name for name, _ in fields], defaulted,
+                   is_dataclass=True)
+
+
+def _called_name(func):
+    """f for a call f(...) or obj.f(...), else None."""
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _plain_default(value) -> bool:
+    """Whether a field's right-hand side gives a default an __init__ call can set."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and _called_name(value.func) == "field":
+        return any(kw.arg == "default" for kw in value.keywords)
+    return True
 
 
 def _parse_all():
@@ -94,27 +157,33 @@ def _parse_all():
             for directory in CALLER_DIRS for path in sorted(directory.rglob("*.py"))}
 
 
-def _package_functions(trees):
-    """Top-level functions and methods of every package module, in order."""
+def _is_test(path: Path) -> bool:
+    """Files under a tests directory: tests/ and stripbench/tests/."""
+    return "tests" in path.relative_to(ROOT).parts
+
+
+def _definitions(trees):
+    """name -> list of _Def, plus id(FunctionDef node) -> _Def.
+
+    Top-level functions, methods, and the generated __init__ of each
+    top-level dataclass of every package module.
+    """
+    by_name, by_node = {}, {}
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for node in tree.body:
             members = [(node, False)]
             if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    d = _Def.of_dataclass(path.stem, node)
+                    by_name.setdefault(node.name, []).append(d)
                 members = [(n, True) for n in node.body]
             for fn, in_class in members:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield path.stem, fn, in_class
-
-
-def _definitions(trees):
-    """name -> list of _Def, plus id(FunctionDef node) -> _Def."""
-    by_name, by_node = {}, {}
-    for module, fn, in_class in _package_functions(trees):
-        d = _Def(module, fn, in_class)
-        by_name.setdefault(fn.name, []).append(d)
-        by_node[id(fn)] = d
+                    d = _Def.of_function(path.stem, fn, in_class)
+                    by_name.setdefault(fn.name, []).append(d)
+                    by_node[id(fn)] = d
     return by_name, by_node
 
 
@@ -161,9 +230,7 @@ class _CallScan(ast.NodeVisitor):
     def visit_Call(self, call):
         self.generic_visit(call)
         func = call.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        for d in self.by_name.get(name, ()):
+        for d in self.by_name.get(_called_name(func), ()):
             params = d.positional[1:] if d.is_method and isinstance(func, ast.Attribute) \
                 else d.positional
             for i, arg in enumerate(call.args):
@@ -186,25 +253,39 @@ class _CallScan(ast.NodeVisitor):
                                       self._condition(kw.value)))
 
 
-def unused_options():
+def scan_options():
+    """(function options, dataclass field options, options no program sets).
+
+    Each option is a (module, function or class, parameter) key.
+    """
     trees = _parse_all()
     by_name, by_node = _definitions(trees)
     scan = _CallScan(by_name, by_node)
-    for tree in trees.values():
-        scan.visit(tree)
+    for path, tree in trees.items():
+        if not _is_test(path):
+            scan.visit(tree)
     used, grew = set(), True
     while grew:
         before = len(used)
         used |= {key for key, cond in scan.uses if cond is None or cond in used}
         grew = len(used) > before
-    options = {d.key + (p,) for defs in by_name.values() for d in defs for p in d.defaulted}
-    return sorted(options - used)
+    defs = [d for ds in by_name.values() for d in ds]
+    params = {d.key + (p,) for d in defs if not d.is_dataclass for p in d.defaulted}
+    fields = {d.key + (p,) for d in defs if d.is_dataclass for p in d.defaulted}
+    return params, fields, sorted((params | fields) - used)
+
+
+def unused_options():
+    return scan_options()[2]
 
 
 def test_every_defaulted_parameter_has_a_caller():
-    unused = [k for k in unused_options() if k not in ALLOWED]
+    params, fields, unused = scan_options()
+    print(f"{len(params)} defaulted parameters, {len(fields)} dataclass field "
+          f"defaults, {len(ALLOWED)} allowed")
+    unused = [k for k in unused if k not in ALLOWED]
     assert not unused, (
-        "defaulted parameters no call site sets (make them constants, or "
+        "defaulted parameters no program call sets (make them constants, or "
         "allow them with a reason): "
         + ", ".join(f"{m}.{f}({p})" for m, f, p in unused)
     )
@@ -255,7 +336,7 @@ def names_used_only_by_tests():
     trees = _parse_all()
     refs = _References()
     for path, tree in trees.items():
-        if ROOT / "tests" not in path.parents:
+        if not _is_test(path):
             refs.visit(tree)
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = set()

@@ -19,11 +19,6 @@ def _pointwise_residual(qm, profile):
     return -upp + 1j * qm.q * profile.damping(qm.x) * qm.u + coef * qm.u
 
 
-def _relative_norm(qm, f, sel):
-    """L2 norm of f over the nodes sel, relative to the full norm of qm.u."""
-    return math.sqrt(np.sum(qm.w[sel] * np.abs(f[sel]) ** 2)) / qm.norm
-
-
 def _full_grid_profile(qm, F, L, nF, second_derivative):
     """(v, dv, d2v) on the nodes x >= a, from derivatives of the half-line
     factor F over its whole grid of nF intervals on [0, L], interpolated the
@@ -187,43 +182,6 @@ class TestResidual:
         qb = quasimode.build_quasimode(sol, profile1, cutoff,
                                        second_derivative="fd")
         assert qb.residual == pytest.approx(qa.residual, rel=0.02)
-
-    def test_smooth_join_changes_only_the_tail_term(self, cutoff):
-        # the outer join enters the residual solely through the mismatch with
-        # the edge power beyond a + sigma, which is tail-suppressed: the
-        # residual on x < a + sigma is the same for both joins at every
-        # frequency, and the mismatch dies off against it as m grows. The
-        # suppression is only asymptotic (at m = 256 the constant join's
-        # mismatch is about 5x the inner residual), so the totals are
-        # compared at m = 1024, where it has died off.
-        smooth = DampingProfile(beta=1.0, a=1.0, sigma=0.8, b=3.0, join="smooth")
-        flat = DampingProfile(beta=1.0, a=1.0, sigma=0.8, b=3.0)
-        ctx = verify.context_for(1.0)
-        ratios = []
-        for m in (256, 512, 1024):
-            sol = eigen.find_eigenvalue(1, select_h(m, 3.0), ctx)
-            qs = quasimode.build_quasimode(sol, smooth, cutoff)
-            qf = quasimode.build_quasimode(sol, flat, cutoff)
-            assert np.array_equal(qs.x, qf.x)
-            inner = qs.x < smooth.a + smooth.sigma
-            Rs = _pointwise_residual(qs, smooth)
-            Rf = _pointwise_residual(qf, flat)
-            for qm, R in ((qs, Rs), (qf, Rf)):
-                split = math.hypot(_relative_norm(qm, R, inner),
-                                   _relative_norm(qm, R, ~inner))
-                assert split == pytest.approx(qm.residual, rel=1e-12)
-                assert qm.inner_residual == pytest.approx(
-                    _relative_norm(qm, R, inner), rel=1e-12)
-            inner_res = _relative_norm(qf, Rf, inner)
-            assert _relative_norm(qs, Rs, inner) == pytest.approx(inner_res, rel=1e-12)
-            assert qs.tail == pytest.approx(qf.tail, rel=1e-6)
-            ratios.append(_relative_norm(qf, Rf - Rs, ~inner) / inner_res)
-        # the join's share falls, and falls faster with each doubling of m
-        drops = [ratios[1] / ratios[0], ratios[2] / ratios[1]]
-        assert drops[0] < 1.0
-        assert drops[1] < drops[0]
-        # qs and qf are the m = 1024 pair
-        assert qs.residual == pytest.approx(qf.residual, rel=0.05)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     def test_two_dimensional_lift_is_separation_exact(self, beta):
