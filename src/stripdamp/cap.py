@@ -15,6 +15,10 @@ diagonal is the average of x^beta over each node's dual cell, and the eta-deriva
 discrete adjoint identity. The eigenvalue matching reads F(0) from
 boundary_value, a Richardson extrapolation of two coarse solves.
 
+boundary_value_by_shooting, an independent backward DOP853 integration of
+the same problem, checks F(0); it loads scipy.integrate when first called,
+so importing the module loads only NumPy and scipy.linalg.
+
 The module also provides the ground level of the self-adjoint comparison
 operator -d^2/dx^2 + x^beta with a Neumann condition at 0, which bounds the
 disk of spectral parameters for which the boundary value is controlled.
@@ -26,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import AdmissibilityError, DomainError, RootFindError, TruncationError
@@ -244,6 +247,8 @@ def boundary_value_by_shooting(
     dies out. The returned value is F(0)/F'(0), which is what F(0) equals
     after renormalizing to F'(0) = 1.
     """
+    from scipy.integrate import solve_ivp
+
     if L is None:
         L = default_truncation(beta)
     theta = np.sqrt(1j * L**beta - eta)

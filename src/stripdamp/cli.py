@@ -13,6 +13,7 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def write_csv(path: Path, rows: list) -> Path:
     return path
 
 
-def write_manifest(out_dir: Path, stage_paths: dict) -> Path:
+def write_manifest(out_dir: Path, stage_paths: dict, stage_wall_s: dict) -> Path:
     manifest = {
         "package_version": __version__,
         "betas": list(verify.BETAS),
@@ -56,6 +57,7 @@ def write_manifest(out_dir: Path, stage_paths: dict) -> Path:
         "thresholds": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in verify.THRESHOLDS.items()},
         "artifacts": {k: [str(p) for p in v] for k, v in stage_paths.items()},
+        "stage_wall_s": stage_wall_s,
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -235,18 +237,23 @@ def cmd_verify_all(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_paths = {}
+    stage_wall_s = {}
     lines = ["verify-all  beta = " + ", ".join(f"{b:g}" for b in verify.BETAS), ""]
     all_passed = True
     try:
         # artifacts flush after every stage, so a failure later in the
-        # pipeline leaves everything already computed on disk
+        # pipeline leaves everything already computed on disk; a stage's
+        # wall time runs from the end of the previous stage's writes
+        t0 = time.perf_counter()
         for name, report in verify.verify_all(*verify.BETAS):
+            stage_wall_s[name] = time.perf_counter() - t0
             for table, rows in report.rows.items():
                 p = write_csv(out / f"{name}_{table}.csv", rows)
                 stage_paths.setdefault(name, []).append(p)
             for check in report.checks:
                 lines.append(check.line())
                 all_passed &= check.passed
+            t0 = time.perf_counter()
     except StripDampError as exc:
         lines.append(f"[FAIL] pipeline aborted: {exc}")
         all_passed = False
@@ -254,7 +261,7 @@ def cmd_verify_all(args):
     lines.append("RESULT: " + ("PASS" if all_passed else "FAIL"))
     summary = out / "summary.txt"
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, stage_paths)
+    write_manifest(out, stage_paths, stage_wall_s)
     print("\n".join(lines))
     print(f"\nwrote {summary}")
     return 0 if all_passed else 1

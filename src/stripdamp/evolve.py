@@ -130,8 +130,16 @@ def evolve(
     beyond 1e-9 (relative, per sample) raises InstabilityError since the
     scheme is dissipative for W >= 0; with negative W the error names the
     minimum of W as the cause. So does a step matrix that is not
-    positive definite, which happens only where 1 + W dt/2 <= 0.
+    positive definite, which happens only where 1 + W dt/2 <= 0. A step
+    dt that is not positive, a negative horizon T or a stride below 1
+    raises PreconditionError before any factorization.
     """
+    if not dt > 0:
+        raise PreconditionError(f"dt must be positive (got {dt})")
+    if not T >= 0:
+        raise PreconditionError(f"T must be nonnegative (got {T})")
+    if stride < 1:
+        raise PreconditionError(f"stride must be at least 1 (got {stride})")
     n, b, m = initial.n, initial.b, initial.m
     x, dx = interior_grid(b, n)
     W = profile.damping(x)

@@ -19,15 +19,20 @@ swamp the measurement in floating point. Derivatives of the rescaled
 half-line factor are taken by fourth-order differences on its own fine grid,
 at the grid points that bracket a quadrature node and nowhere else; the
 oscillatory part and the cutoff are differentiated analytically.
+
+Quasimode.evaluate re-evaluates a build anywhere from a cubic spline of a
+coarser companion solve. That solve, and the import of scipy.interpolate,
+happen on the first evaluate of a build, not in build_quasimode: most
+builds only measure their residual and are never re-evaluated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import cap
 from .eigen import EigenSolution, left_solution
@@ -87,10 +92,7 @@ class Quasimode:
     phi: np.ndarray
     dphi: np.ndarray
     d2phi: np.ndarray
-    # decimated half-line factor for re-evaluation, with its gluing constant
-    y_cap: np.ndarray
-    F_cap: np.ndarray
-    B_eval: complex
+    L: float                # truncation of the half-line factor's grid
     # measured quantities
     norm: float             # L2 norm of u on (0, b)
     residual: float         # relative residual of the reduced operator
@@ -100,6 +102,43 @@ class Quasimode:
     @property
     def lambda_h(self) -> complex:
         return self.eig.lambda_h
+
+    @functools.cached_property
+    def _eval_factor(self):
+        """(y, F, B): the decimated half-line factor behind evaluate, with its
+        gluing constant.
+
+        A companion solve at spacing 5e-4, coarser than the build's: the
+        linear-solver rounding noise scales like 1/dy^2, and it is that noise
+        a downstream finite difference of the reconstruction would amplify.
+        Made on first use, since most builds are never re-evaluated, and
+        glued against its own F(0) so the reconstruction is continuous at a.
+        """
+        eig, L = self.eig, self.L
+        n_eval = max(2000, int(round(L / 5e-4)))
+        _, _, F_eval = cap.boundary_pair(eig.eta, eig.beta, L, n_eval)
+        stride = max(1, int(round(1e-3 * n_eval / L)))
+        y = np.linspace(0.0, L, n_eval + 1)[::stride].copy()
+        v_at_a, _ = left_solution(np.array([eig.a]), eig.lambda_h, self.h, eig.a)
+        return y, F_eval[::stride].copy(), complex(v_at_a[0]) / F_eval[0]
+
+    @property
+    def y_cap(self) -> np.ndarray:
+        return self._eval_factor[0]
+
+    @property
+    def F_cap(self) -> np.ndarray:
+        return self._eval_factor[1]
+
+    @property
+    def B_eval(self) -> complex:
+        return self._eval_factor[2]
+
+    @functools.cached_property
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.y_cap, self.F_cap)
 
     def evaluate(self, x):
         """Profile on arbitrary points of (-b, b), odd extension included.
@@ -117,8 +156,7 @@ class Quasimode:
         vl, _ = left_solution(ax[left], eig.lambda_h, self.h, eig.a)
         out[left] = vl
         yq = (ax[~left] - eig.a) / self.s
-        spline = CubicSpline(self.y_cap, self.F_cap)
-        vals = spline(yq)
+        vals = self._spline(yq)
         vals[yq > self.y_cap[-1]] = 0.0
         out[~left] = self.B_eval * vals
         cut = CutoffFunction(b=self.b, delta=self.delta)
@@ -168,14 +206,6 @@ def build_quasimode(
     _, _, F = cap.boundary_pair(eig.eta, beta, L, nF)
     y = np.linspace(0.0, L, nF + 1)
     dy = L / nF
-
-    # a coarser companion solve backs pointwise re-evaluation: linear-solver
-    # rounding noise scales like 1/dy^2, and it is that noise a downstream
-    # finite difference of the reconstruction would amplify
-    n_eval = max(2000, int(round(L / 5e-4)))
-    _, _, F_eval = cap.boundary_pair(eig.eta, beta, L, n_eval)
-    y_eval = np.linspace(0.0, L, n_eval + 1)
-    stride = max(1, int(round(1e-3 * n_eval / L)))
 
     # quadrature panels never straddle the kinks of W, the gluing point or
     # the cutoff transition
@@ -245,9 +275,7 @@ def build_quasimode(
     return Quasimode(
         eig=eig, m=m, q=q, h=h, h2=h2, s=s,
         b=b, delta=cutoff.delta, x=X, w=W, u=u, v=v, dv=dv, d2v=d2v,
-        phi=phi, dphi=dphi, d2phi=d2phi,
-        y_cap=y_eval[::stride].copy(), F_cap=F_eval[::stride].copy(),
-        B_eval=complex(v_at_a[0]) / F_eval[0],
+        phi=phi, dphi=dphi, d2phi=d2phi, L=L,
         norm=math.sqrt(norm_sq), residual=residual,
         inner_residual=inner_residual, tail=tail,
     )

@@ -14,6 +14,9 @@ a mode whose norm is bounded below the best one found: P = (K + s) + i q W
 with K + s and q W Hermitian, so 1/norm is at least the distance from 0 to
 the rectangle [lambda_1 + s, lambda_n + s] x [q min W, q max W] that holds
 the numerical range of P.
+
+ARPACK (scipy.sparse.linalg) is imported by the first sigma_min solve, not
+with the module, so importing it loads only NumPy and scipy.linalg.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import ResolutionError, RootFindError
@@ -112,6 +114,8 @@ class ResolventSample:
 
 
 def _smallest_singular_value(op: ReducedOperator, tol: float) -> float:
+    import scipy.sparse.linalg as spla
+
     n = op.n
     off = np.full(n - 1, -1.0 / op.dx**2, dtype=complex)
     dl, d, du, du2, ipiv, info = lapack.zgttrf(off, op.diag, off)

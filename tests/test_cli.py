@@ -1,6 +1,8 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +108,7 @@ class TestSubcommands:
     def test_manifest_records_betas_and_thresholds(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        path = cli.write_manifest(tmp_path, {"demo": [tmp_path / "x.csv"]})
+        path = cli.write_manifest(tmp_path, {"demo": [tmp_path / "x.csv"]}, {"demo": 0.25})
         manifest = json.loads(Path(path).read_text())
         assert manifest["betas"] == [0.0, 1.0, 2.0]
         env = manifest["environment"]
@@ -119,6 +121,7 @@ class TestSubcommands:
         assert len(manifest["thresholds"]) == 22
         assert manifest["thresholds"]["tail_levels"] == [2.0, 4.0, 6.0]
         assert manifest["artifacts"] == {"demo": [str(tmp_path / "x.csv")]}
+        assert manifest["stage_wall_s"] == {"demo": 0.25}
         assert "config_hash" not in manifest and "config_file" not in manifest
 
     @pytest.fixture()
@@ -152,6 +155,8 @@ class TestSubcommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["betas"] == list(verify.BETAS)
         assert sorted(manifest["artifacts"]) == sorted(names)
+        assert sorted(manifest["stage_wall_s"]) == sorted(names)
+        assert all(s >= 0.0 for s in manifest["stage_wall_s"].values())
         assert sorted(p.name for p in out.glob("*.csv")) == sorted(
             f"{n}_t.csv" for n in names)
         summary = (out / "summary.txt").read_text().splitlines()
@@ -267,3 +272,17 @@ class TestInputChecks:
         assert err[0].startswith("usage: stripdamp")
         assert "error: " in err[-1] and message in err[-1]
         assert not (tmp_path / "out").exists()
+
+
+def test_import_loads_no_first_use_subpackage():
+    # the integrator, the spline and ARPACK load where they are called, so a
+    # fresh process that only imports the command line pays for none of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, json, stripdamp.cli; print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.sparse.linalg"}

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from stripdamp import eigen, evolve, quasimode, verify
-from stripdamp.errors import InstabilityError
+from stripdamp.errors import InstabilityError, PreconditionError
 from stripdamp.model import UniformDamping, interior_grid, select_h
 
 
@@ -110,6 +110,23 @@ class TestScheme:
         with pytest.raises(InstabilityError, match=r"\(n, dt, m\) = \(300, 0\.001, 3\).*pivot 1 "):
             evolve.evolve(state, UniformDamping(-3000.0, 3.0), dt=1e-3, T=2.0,
                           stride=5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dt": 0.0}, r"dt must be positive \(got 0\.0\)"),
+        ({"dt": -1e-3}, r"dt must be positive \(got -0\.001\)"),
+        ({"T": -1.0}, r"T must be nonnegative \(got -1\.0\)"),
+        ({"stride": 0}, r"stride must be at least 1 \(got 0\)"),
+    ])
+    def test_bad_step_arguments_refused(self, kwargs, message, profile1, monkeypatch):
+        # refused before the step matrix is factored, not by a division by
+        # zero or a one-sample trace
+        def boom(*args, **kwargs):
+            raise AssertionError("the step matrix was factored")
+
+        monkeypatch.setattr(evolve.lapack, "dpttrf", boom)
+        args = {"dt": 1e-3, "T": 1.0, "stride": 1, **kwargs}
+        with pytest.raises(PreconditionError, match=message):
+            evolve.evolve(bump_state(300), profile1, **args)
 
     @pytest.mark.parametrize("beta", verify.BETAS)
     def test_matches_sparse_lu_stepper(self, beta):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stripdamp import eigen, quasimode, verify
+from stripdamp import cap, eigen, quasimode, verify
 from stripdamp.errors import PreconditionError
 from stripdamp.fits import loglog_fit
 from stripdamp.model import CutoffFunction, DampingProfile, select_h
@@ -36,6 +36,34 @@ def _full_grid_profile(qm, F, L, nF, second_derivative):
     yq = (qm.x[qm.x >= eig.a] - eig.a) / qm.s
     return (B * complex_interp(yq, y, F), B * complex_interp(yq, y, F1) / qm.s,
             B * complex_interp(yq, y, F2) / qm.s**2)
+
+
+def _eager_evaluate(qm, x, L):
+    """Quasimode.evaluate as it was when build_quasimode made the companion
+    solve itself: a spline of the decimated spacing-5e-4 factor on [0, L],
+    glued at a against that solve's own F(0), rebuilt on every call."""
+    from scipy.interpolate import CubicSpline
+
+    eig = qm.eig
+    n_eval = max(2000, int(round(L / 5e-4)))
+    _, _, F_eval = cap.boundary_pair(eig.eta, eig.beta, L, n_eval)
+    y_eval = np.linspace(0.0, L, n_eval + 1)
+    stride = max(1, int(round(1e-3 * n_eval / L)))
+    y_cap, F_cap = y_eval[::stride].copy(), F_eval[::stride].copy()
+    v_at_a, _ = eigen.left_solution(np.array([eig.a]), eig.lambda_h, qm.h, eig.a)
+    B_eval = complex(v_at_a[0]) / F_eval[0]
+
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.zeros(ax.shape, dtype=complex)
+    left = ax < eig.a
+    out[left], _ = eigen.left_solution(ax[left], eig.lambda_h, qm.h, eig.a)
+    yq = (ax[~left] - eig.a) / qm.s
+    vals = CubicSpline(y_cap, F_cap)(yq)
+    vals[yq > y_cap[-1]] = 0.0
+    out[~left] = B_eval * vals
+    cut = CutoffFunction(b=qm.b, delta=qm.delta)
+    return np.where(x < 0, -1.0, 1.0) * cut.value(ax) * out
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +147,36 @@ class TestAssembly:
         assert qm.tail == float(np.sum(qm.w[tail_sel] * np.abs(u[tail_sel]) ** 2) / norm_sq)
         assert qm.residual == float(math.sqrt(np.sum(R_sq) / norm_sq))
         assert qm.inner_residual == float(math.sqrt(np.sum(R_sq[~tail_sel]) / norm_sq))
+
+
+class TestDeferredEvaluation:
+    """The re-evaluation solve is made by the first evaluate, not the build."""
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_first_evaluate_solves_once_and_matches_eager_path(self, beta, monkeypatch):
+        cfg = verify.default_config(beta)
+        m = verify.EVOLVE_MODES[beta][0]
+        sol = eigen.find_eigenvalue(1, select_h(m, cfg.profile.b), verify.context_for(beta))
+        solves = []
+        pair = cap.boundary_pair
+
+        def recording_pair(eta, beta, L, n):
+            solves.append((L, n))
+            return pair(eta, beta, L, n)
+
+        monkeypatch.setattr(cap, "boundary_pair", recording_pair)
+        qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
+        assert len(solves) == 1
+        b = cfg.profile.b
+        x = np.concatenate([np.linspace(-b, b, 4001), [sol.a - 1e-9, sol.a, sol.a + 1e-9]])
+        u = qm.evaluate(x)
+        assert len(solves) == 2
+        assert np.array_equal(qm.evaluate(x), u)
+        assert len(solves) == 2
+
+        L = solves[0][0]
+        assert solves[1] == (L, max(2000, int(round(L / 5e-4))))
+        assert np.array_equal(u, _eager_evaluate(qm, x, L))
 
 
 class TestAnsatz:

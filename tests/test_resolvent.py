@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from stripdamp import eigen, quasimode, resolvent, verify
 from stripdamp.errors import ResolutionError, RootFindError, StripDampError
@@ -53,9 +54,9 @@ class TestAssembly:
     def test_lanczos_failure_raises(self, profile1, monkeypatch):
         # no quiet second path to the norm: the package error names the point
         def no_convergence(*args, **kwargs):
-            raise resolvent.spla.ArpackNoConvergence("no convergence", [], [])
+            raise spla.ArpackNoConvergence("no convergence", [], [])
 
-        monkeypatch.setattr(resolvent.spla, "eigsh", no_convergence)
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(StripDampError, match=r"\(q, m, n\) = \(9\.0, 3, 2000\)"):

@@ -26,7 +26,12 @@ own `src`:
   beta = 2, m = 512 and 1024 at dx = 1e-5, roots by continuation from a
   cold start at the first m) are timed, best of 3, with one sha256 per
   build over `x`, `w`, `u`, `v`, `dv`, `d2v`, `y_cap`, `F_cap` and the
-  floats `norm`, `residual`, `inner_residual` and `tail`.
+  floats `norm`, `residual`, `inner_residual` and `tail` (on a checkout
+  that defers the re-evaluation solve, reading `y_cap` makes it, after the
+  timing). Cold start: the median wall time of 10 fresh processes that
+  `import stripdamp.cli`, and of 10 that run `stripbench/probe.py 0 1 2`
+  (the benchmark's set-up probe), with the `scipy.*` subpackages the
+  import leaves in `sys.modules`.
 * stripbench: `stripbench/run.py --trace 0` on all four workloads, in N
   pairs that alternate which checkout runs first (the pairing code of
   `bench_resolvent.py`).
@@ -38,7 +43,11 @@ the kernel figures of one checkout.
 """
 
 import hashlib
+import json
 import math
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -55,10 +64,34 @@ PROFILE_CASE = (0.0, 4096)   # (beta, m) of the quasimode-profiles workload's la
 PROFILE_BUILDS = ((0.0, slice(-2, None)), (2.0, slice(0, 2)))
 QUASIMODE_ARRAYS = ("x", "w", "u", "v", "dv", "d2v", "y_cap", "F_cap")
 QUASIMODE_FLOATS = ("norm", "residual", "inner_residual", "tail")
+STARTUP_RUNS = 10
+LIST_SUBPACKAGES = ("import json, sys, stripdamp.cli; print(json.dumps(sorted("
+                    "m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1)))")
+
+
+def measure_startup(src):
+    """Median fresh-process wall times of importing the package and of the
+    set-up probe, and the scipy subpackages the import loads."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    commands = {"import stripdamp.cli": [sys.executable, "-c", "import stripdamp.cli"],
+                "stripbench/probe.py 0 1 2": [sys.executable, "stripbench/probe.py", "0", "1", "2"]}
+    out = {}
+    for label, cmd in commands.items():
+        runs = []
+        for _ in range(STARTUP_RUNS):
+            t0 = time.perf_counter()
+            subprocess.run(cmd, cwd=src.parent, env=env, check=True, capture_output=True)
+            runs.append(time.perf_counter() - t0)
+        out[label] = {"median_s": round(statistics.median(runs), 4), "runs": STARTUP_RUNS}
+    listed = subprocess.run([sys.executable, "-c", LIST_SUBPACKAGES], env=env, check=True,
+                            capture_output=True, text=True)
+    out["scipy_subpackages_after_import"] = json.loads(listed.stdout)
+    return out
 
 
 def measure_kernel(src):
     """Kernel figures of the checkout whose package lives in src."""
+    startup = measure_startup(src)
     sys.path.insert(0, str(src))
     from stripdamp import cap, verify
 
@@ -107,6 +140,7 @@ def measure_kernel(src):
                 "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
                 "F0_err_vs_shooting": error(f0, beta)}
     out.update(builds)
+    out["cold start"] = startup
     return out
 
 

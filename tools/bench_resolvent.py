@@ -77,14 +77,16 @@ def measure_kernel(src):
         resolvent.resolvent_norm = norm
     scan_and_fit = measure_scan_and_fit(resolvent, verify, UniformDamping(1.0, 3.0))
 
+    import scipy.sparse.linalg as spla
+
     products = [0]
-    eigsh = resolvent.spla.eigsh
+    eigsh = spla.eigsh
 
     def counting_eigsh(A, *args, **kwargs):
         def matvec(z):
             products[0] += 1
             return A.matvec(z)
-        op = resolvent.spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+        op = spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
         return eigsh(op, *args, **kwargs)
 
     def one_call(q, m, profile, n):
@@ -98,14 +100,14 @@ def measure_kernel(src):
                 "products": products[0], "norm": samp.norm}
 
     calls = {}
-    resolvent.spla.eigsh = counting_eigsh
+    spla.eigsh = counting_eigsh
     try:
         for beta, m in BRANCH_CASES:
             calls[f"beta={beta:g} m={m}"] = one_call(*first_calls[(beta, m)])
         q, m, n = CLUSTERED_CASE
         calls[f"uniform W=1 q={q:g} m={m}"] = one_call(q, m, UniformDamping(1.0, 3.0), n)
     finally:
-        resolvent.spla.eigsh = eigsh
+        spla.eigsh = eigsh
     return {"calls": calls, "scans": scans, "scan_and_fit": scan_and_fit}
 
 
