@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, cap, eigen, evolve, quasimode, resolvent, verify
+from . import __version__, cap, eigen, evolve, resolvent, verify
 from .errors import StripDampError
 from .fits import loglog_fit
-from .model import select_h
 
 
 def _fmt(v) -> str:
@@ -75,7 +74,7 @@ def _require_positive(args, *names):
 
 def _branches(args, default):
     """The --branches mode list, or default; refused before any solve unless
-    it holds at least two distinct integers, enough to fit an exponent."""
+    it holds at least two distinct modes m >= 1, enough to fit an exponent."""
     if not args.branches:
         return default
     try:
@@ -83,6 +82,8 @@ def _branches(args, default):
     except ValueError:
         raise StripDampError(f"--branches takes comma-separated integers "
                              f"(got {args.branches!r})") from None
+    if min(branches) < 1:
+        raise StripDampError(f"--branches takes modes m >= 1 (got {args.branches!r})")
     if len(set(branches)) < len(branches):
         raise StripDampError(f"--branches repeats a mode (got {args.branches!r})")
     if len(branches) < 2:
@@ -185,18 +186,11 @@ def cmd_resolvent_scan(args):
 
 
 def cmd_evolve(args):
-    _require_positive(args, "m", "dt", "T")
-    cfg = verify.default_config(args.beta)
-    ctx = verify.context_for(args.beta)
-    m = args.m or min(verify.RESIDUAL_SWEEP[args.beta][0])
-    sol = eigen.find_eigenvalue(ctx.l, select_h(m, cfg.profile.b), ctx)
-    qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
-    n = max(600, int(round(2.0 * cfg.profile.b / (qm.s / 25.0))))
-    state = evolve.quasimode_state(qm, n)
-    dt = args.dt or 0.1 / qm.q.real
-    T = args.T or 0.06 / qm.q.imag
-    stride = max(1, int(round(T / dt / 500)))
-    trace = evolve.evolve(state, cfg.profile, dt, T, stride=stride)
+    _require_positive(args, "m")
+    m = args.m or verify.EVOLVE_MODES[args.beta][0]
+    qm, state, dt, T, stride = verify.decay_run(args.beta, m)
+    trace = evolve.evolve(state, verify.default_config(args.beta).profile, dt, T,
+                          stride=stride)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = write_csv(out / "energy_trace.csv",
@@ -313,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("evolve", parents=[geometry],
                        help="time evolution of one quasimode")
-    s.add_argument("--m", type=int, default=None)
-    s.add_argument("--dt", type=float, default=None)
-    s.add_argument("--T", type=float, default=None)
+    s.add_argument("--m", type=int, default=None,
+                   help="transverse mode (default: the first EVOLVE_MODES run)")
     s.set_defaults(fn=cmd_evolve)
 
     s = sub.add_parser("fit", help="power-law decay fit of an energy trace CSV")

@@ -78,19 +78,15 @@ class ReducedOperator:
     n: int
 
 
-def _require_resolution(q: float, m: int, b: float, n: int) -> None:
+def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
+    """Second-order finite-difference operator on the interior of (-b, b)."""
+    b = profile.b
     need = min_grid_size(q, m, b)
     if n < need:
         raise ResolutionError(
             f"n = {n} under-resolves (q = {q}, m = {m}): need at least {need} "
             "points (20 per effective wavelength)"
         )
-
-
-def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
-    """Second-order finite-difference operator on the interior of (-b, b)."""
-    b = profile.b
-    _require_resolution(q, m, b, n)
     x, dx = interior_grid(b, n)
     W = profile.damping(x)
     diag = 2.0 / dx**2 + 1j * q * W + (4.0 * math.pi**2 * m**2 / b**2 - q * q)
@@ -158,6 +154,11 @@ def _m_window(q: float, b: float):
     return [mm for mm in range(center - 3, center + 4) if mm >= 1]
 
 
+def _window_grid_size(q: float, b: float) -> int:
+    """Interior points resolving every mode of q's window, at least 4000."""
+    return max(4000, max(min_grid_size(q, mm, b) for mm in _m_window(q, b)))
+
+
 # Relative margin by which the numerical-range bound of a mode must fall below
 # the best norm before scan_point skips the mode: far above the Lanczos tol,
 # so a skipped mode could not have replaced the maximum.
@@ -180,26 +181,22 @@ def _numerical_range_distance(q: float, m: int, b: float, n: int,
     return math.hypot(max(re_lo, -re_hi, 0.0), max(im_lo, -im_hi, 0.0))
 
 
-def scan_point(q: float, profile, n: int | None = None) -> ResolventSample:
+def scan_point(q: float, profile) -> ResolventSample:
     """Worst resolvent norm over transverse modes near resonance with q.
 
-    The modes run in ascending order and a later one replaces the maximum
-    only when its norm is strictly larger. A mode is skipped, with no solve,
-    when its numerical-range bound 1/d is below best.norm * (1 - SKIP_MARGIN):
-    its norm cannot reach the maximum, so the returned sample is the one an
-    unpruned scan returns. A skipped mode has d > 0, so P is nonsingular
-    there, and every mode of the window is still checked for resolution.
+    The grid is _window_grid_size's. The modes run in ascending order and a
+    later one replaces the maximum only when its norm is strictly larger. A
+    mode is skipped, with no solve, when its numerical-range bound 1/d is
+    below best.norm * (1 - SKIP_MARGIN): its norm cannot reach the maximum,
+    so the returned sample is the one an unpruned scan returns. A skipped
+    mode has d > 0, so P is nonsingular there.
     """
     b = profile.b
-    mms = _m_window(q, b)
-    if n is None:
-        n = max(4000, max(min_grid_size(q, mm, b) for mm in mms))
-    for mm in mms:
-        _require_resolution(q, mm, b, n)
+    n = _window_grid_size(q, b)
     W = profile.damping(interior_grid(b, n)[0])
     w_min, w_max = float(np.min(W)), float(np.max(W))
     best = None
-    for mm in mms:
+    for mm in _m_window(q, b):
         d = _numerical_range_distance(q, mm, b, n, w_min, w_max)
         if best is not None and best.norm * (1.0 - SKIP_MARGIN) * d > 1.0:
             continue
@@ -215,7 +212,7 @@ class ScanResult:
     fit: FitResult
 
 
-def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
+def scan_and_fit(q_values, profile) -> ScanResult:
     """Least-squares growth exponent of log(norm) against log(q)."""
     qs = sorted(float(q) for q in q_values)
     if qs[-1] / qs[0] < 10.0**1.5:
@@ -223,9 +220,15 @@ def scan_and_fit(q_values, profile, *, n: int | None = None) -> ScanResult:
             "q grid spans less than 1.5 decades; the fitted exponent may not "
             "be meaningful", RuntimeWarning, stacklevel=2,
         )
-    samples = [scan_point(q, profile, n) for q in qs]
+    samples = [scan_point(q, profile) for q in qs]
     fit = loglog_fit([s.q for s in samples], [s.norm for s in samples])
     return ScanResult(samples=samples, fit=fit)
+
+
+def _peak_grid_size(q: float, layer: float, b: float) -> int:
+    """Interior points of a peak solve at frequency q: the window's grid, and
+    20 on each boundary-layer width of the expected minimal singular vector."""
+    return max(_window_grid_size(q, b), int(math.ceil(20 * 2.0 * b / layer)))
 
 
 def scan_peaks(eigs, profile) -> ScanResult:
@@ -235,36 +238,30 @@ def scan_peaks(eigs, profile) -> ScanResult:
     frequency, on the branch's own transverse mode m = b / (2 pi h^2). The
     prediction is the peak: on the pinned branches norm * 2 Re q |Im q| is
     1.00-1.01, and a search in q around it never moved the reported sample.
-    Grid sizes put 20 points on each effective wavelength over the modes
-    within 3 of resonance and on each boundary-layer width of the expected
-    minimal singular vector.
+    The grid is _peak_grid_size's, with the layer width h^(2/(beta+2)).
     """
     b = profile.b
     samples = []
     for eig in eigs:
         q, m = ansatz_params(eig, b)
         q_pred = float(q.real)
-        n_osc = max(min_grid_size(q_pred, mm, b)
-                    for mm in _m_window(q_pred, b))
         layer = eig.h ** (2.0 / (eig.beta + 2.0))
-        n_layer = int(math.ceil(20 * 2.0 * b / layer))
-        n = max(4000, n_osc, n_layer)
-        samples.append(resolvent_norm(q_pred, m, profile, n))
+        samples.append(resolvent_norm(q_pred, m, profile,
+                                      _peak_grid_size(q_pred, layer, b)))
     samples.sort(key=lambda s: s.q)
     fit = loglog_fit([s.q for s in samples], [s.norm for s in samples])
     return ScanResult(samples=samples, fit=fit)
 
 
-def quasimode_lower_bound(qm, profile, n: int | None = None) -> ResolventSample:
+def quasimode_lower_bound(qm, profile) -> ResolventSample:
     """Lower bound |u| / |P u| obtained by feeding a stored quasimode to P.
 
-    Evaluated at the real part of the quasimode frequency on the scanner's
-    own grid, so the scanned norm at the same (q, m) must weakly dominate it.
+    Evaluated at the real part of the quasimode frequency on the grid
+    scan_peaks solves its branch on, so the scanned norm at the same (q, m)
+    must weakly dominate it.
     """
     q = float(qm.q.real)
-    if n is None:
-        n_layer = int(math.ceil(20 * 2.0 * qm.b / qm.s))   # 20 points per layer width
-        n = max(4000, min_grid_size(q, qm.m, qm.b), n_layer)
+    n = _peak_grid_size(q, qm.s, qm.b)
     op = assemble_reduced_operator(q, qm.m, profile, n)
     u = qm.evaluate(op.x)
     off = -1.0 / op.dx**2

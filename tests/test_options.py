@@ -75,7 +75,6 @@ ALLOWED = {
     ("eigen", "raw_compatibility_root", "tol"): "independent oracle",
     ("eigen", "raw_compatibility_root", "max_iter"): "independent oracle",
     ("quasimode", "direct_residual_norm", "n"): "independent oracle",
-    ("resolvent", "quasimode_lower_bound", "n"): "independent oracle",
     # the console script calls main() with no arguments; argv exists so the
     # command line can be driven from Python
     ("cli", "main", "argv"): "entry point",

@@ -302,3 +302,13 @@ class TestSweeps:
         rep = verify.check_tail_decay(beta)
         for c in rep.checks:
             assert c.passed, c.line()
+
+
+def test_tail_check_fails_when_no_tail_clears_the_floor(monkeypatch):
+    # with no local slope to read, the check reports FAIL instead of raising
+    qms = [dataclasses.replace(qm, tail=1e-300)
+           for qm in verify.quasimode_sweep(1.0, verify.TAIL_SWEEP_M[1.0][:2])]
+    monkeypatch.setattr(verify, "quasimode_sweep_data", lambda beta, which: qms)
+    check = verify.check_tail_decay(1.0).checks[0]
+    assert check.name == "tail mass decays super-polynomially (beta=1)"
+    assert not check.passed

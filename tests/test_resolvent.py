@@ -128,7 +128,7 @@ class TestScan:
 
     def test_short_grid_warns(self, profile1):
         with pytest.warns(RuntimeWarning):
-            resolvent.scan_and_fit([10.0, 20.0], profile1, n=4000)
+            resolvent.scan_and_fit([10.0, 20.0], profile1)
 
     def test_exponent_balance_identity(self):
         # the cutoff-power choice gamma = beta/(beta+2) balances the two
@@ -149,11 +149,10 @@ def _range_distance(q, m, profile, n):
     return resolvent._numerical_range_distance(q, m, profile.b, n, W.min(), W.max())
 
 
-def _unpruned_scan_point(q, profile, n=None):
+def _unpruned_scan_point(q, profile):
     """The maximum over the whole window, one solve per mode."""
     mms = resolvent._m_window(q, profile.b)
-    if n is None:
-        n = max(4000, max(resolvent.min_grid_size(q, mm, profile.b) for mm in mms))
+    n = max(4000, max(resolvent.min_grid_size(q, mm, profile.b) for mm in mms))
     best = None
     for mm in mms:
         samp = resolvent.resolvent_norm(q, mm, profile, n)
@@ -201,8 +200,10 @@ class TestNumericalRangeSkip:
 
     def test_pinned_scan_equals_unpruned(self, profile1):
         _, scan = verify.time_pinned_resolvent_scan(1.0)
+        # scan_point picks its floor n = 4000 at every q of the pinned grid
+        assert all(samp.n == 4000 for samp in scan.samples)
         for samp in scan.samples[::5]:
-            assert samp == _unpruned_scan_point(samp.q, profile1, n=4000)
+            assert samp == _unpruned_scan_point(samp.q, profile1)
 
     @pytest.mark.parametrize("q, modes", [(640.0, [303, 304, 305]), (20.0, [7, 8, 9])])
     def test_uniform_pair_solves_three_modes(self, q, modes, monkeypatch):
@@ -217,11 +218,6 @@ class TestNumericalRangeSkip:
         samp = resolvent.scan_point(q, UniformDamping(1.0, 3.0))
         assert solved == modes
         assert samp.m in modes
-
-    def test_skipped_mode_still_checked_for_resolution(self):
-        # at q = 640 the skipped m = 309 needs 1835 points, the solved m = 303 only 1584
-        with pytest.raises(ResolutionError, match=r"m = 309\)"):
-            resolvent.scan_point(640.0, UniformDamping(1.0, 3.0), n=1700)
 
 
 class TestPeakMode:
@@ -294,7 +290,8 @@ class TestBand:
         sample = scan.samples[0]
         sol = eigen.find_eigenvalue(1, select_h(sample.m, 3.0), ctx)
         qm = quasimode.build_quasimode(sol, profile1, cutoff)
-        lb = resolvent.quasimode_lower_bound(qm, profile1, n=sample.n)
+        lb = resolvent.quasimode_lower_bound(qm, profile1)
+        assert lb.n == sample.n
         assert sample.norm >= lb.norm * (1 - 1e-6)
 
     def test_grid_doubling_stability(self):

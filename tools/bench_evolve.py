@@ -4,17 +4,17 @@
     python3 tools/bench_evolve.py kernel ROOT
 
 PARENT and CHANGE are roots of two checkouts of this repository, for
-example a `git archive` of the parent commit and the working tree. Every
-measurement runs in a fresh process at one BLAS thread, on each checkout's
-own `src`:
+example a `git archive` of the parent commit and the working tree; the
+kernel needs a checkout with `verify.decay_run`. Every measurement runs in
+a fresh process at one BLAS thread, on each checkout's own `src`:
 
 * kernel: for the quasimode decay runs at beta = 1, m = 64 and 128 and at
-  beta = 2, m = 724 (the `EVOLVE_MODES` runs of `verify.check_quasimode_decay`,
-  with its n, dt, T and stride), the microseconds per step of `evolve.evolve`
-  over STEPS steps sampled only at the end (best of 3); the full run's
-  seconds, step count, final energy, fitted decay rate and 2 Im q; and the
-  largest relative energy drift of the same run with the damping set to 0,
-  which the exact scheme conserves.
+  beta = 2, m = 724 (the `EVOLVE_MODES` runs, as `verify.decay_run` sets
+  them up), the microseconds per step of `evolve.evolve` over STEPS steps
+  sampled only at the end (best of 3); the full run's seconds, step count,
+  final energy, fitted decay rate and 2 Im q; and the largest relative
+  energy drift of the same run with the damping set to 0, which the exact
+  scheme conserves.
 * stripbench: `stripbench/run.py --trace 0` on all four workloads, in N
   pairs that alternate which checkout runs first (the pairing code of
   `bench_resolvent.py`).
@@ -42,32 +42,25 @@ STEPS = 20000
 def measure_kernel(src):
     """Kernel figures of the checkout whose package lives in src."""
     sys.path.insert(0, str(src))
-    from stripdamp import eigen, evolve, quasimode, verify
-    from stripdamp.model import UniformDamping, select_h
+    from stripdamp import evolve, verify
+    from stripdamp.model import UniformDamping
 
     out = {}
     for beta, m in CASES:
-        cfg = verify.default_config(beta)
-        ctx = verify.context_for(beta)
-        sol = eigen.find_eigenvalue(ctx.l, select_h(m, cfg.profile.b), ctx)
-        qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
-        n = max(600, int(round(2.0 * cfg.profile.b / (qm.s / 25.0))))
-        state = evolve.quasimode_state(qm, n)
-        dt = 0.12 / qm.q.real
-        T = 0.025 / qm.q.imag
-        stride = max(1, int(round(T / dt / 400)))
+        profile = verify.default_config(beta).profile
+        qm, state, dt, T, stride = verify.decay_run(beta, m)
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            evolve.evolve(state, cfg.profile, dt, STEPS * dt, stride=STEPS)
+            evolve.evolve(state, profile, dt, STEPS * dt, stride=STEPS)
             best = min(best, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        trace = evolve.evolve(state, cfg.profile, dt, T, stride=stride)
+        trace = evolve.evolve(state, profile, dt, T, stride=stride)
         run_s = time.perf_counter() - t0
         fit = evolve.fit_exponential_rate(trace)
-        undamped = evolve.evolve(state, UniformDamping(0.0, cfg.profile.b), dt, T, stride=stride)
+        undamped = evolve.evolve(state, UniformDamping(0.0, profile.b), dt, T, stride=stride)
         out[f"beta={beta:g} m={m}"] = {
-            "n": n, "dt": dt, "us_per_step": round(best * 1e6 / STEPS, 2),
+            "n": state.n, "dt": dt, "us_per_step": round(best * 1e6 / STEPS, 2),
             "run_steps": int(round(T / dt)), "run_s": round(run_s, 2),
             "final_energy": float(trace.energies[-1]), "rate": -fit.slope,
             "two_im_q": 2.0 * qm.q.imag,
