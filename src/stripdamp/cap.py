@@ -37,6 +37,7 @@ from .quadrature import fd_derivative
 
 _DEFAULT_DX = 2.5e-4
 _MATCH_DX = 8e-3     # coarse spacing of boundary_value's extrapolated pair
+_SHOOT_RTOL = 1e-10  # relative tolerance of the backward shooting oracle
 
 
 def default_truncation(beta: float) -> float:
@@ -237,20 +238,17 @@ def solve_cap(eta: complex, beta: float) -> CapSolution:
     )
 
 
-def boundary_value_by_shooting(
-    eta: complex, beta: float, L: float | None = None, rtol: float = 1e-10
-) -> complex:
+def boundary_value_by_shooting(eta: complex, beta: float) -> complex:
     """Independent check of F(0): integrate backward from the cut.
 
-    Start at L on the decaying branch (F = 1, F' = -theta(L)); integrating
-    toward 0 the wanted solution grows, so contamination by the other branch
-    dies out. The returned value is F(0)/F'(0), which is what F(0) equals
-    after renormalizing to F'(0) = 1.
+    Start at the default truncation L on the decaying branch (F = 1,
+    F' = -theta(L)); integrating toward 0 the wanted solution grows, so
+    contamination by the other branch dies out. The returned value is
+    F(0)/F'(0), which is what F(0) equals after renormalizing to F'(0) = 1.
     """
     from scipy.integrate import solve_ivp
 
-    if L is None:
-        L = default_truncation(beta)
+    L = default_truncation(beta)
     theta = np.sqrt(1j * L**beta - eta)
 
     def rhs(x, y):
@@ -261,7 +259,7 @@ def boundary_value_by_shooting(
     y0 = [1.0, 0.0, (-theta).real, (-theta).imag]
     # values grow monotonically from O(1) going backward, so a fixed absolute
     # floor well below that scale keeps the controller purely relative
-    sol = solve_ivp(rhs, (L, 0.0), y0, method="DOP853", rtol=rtol, atol=1e-12)
+    sol = solve_ivp(rhs, (L, 0.0), y0, method="DOP853", rtol=_SHOOT_RTOL, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"backward integration failed: {sol.message}")
     f = sol.y[0, -1] + 1j * sol.y[1, -1]

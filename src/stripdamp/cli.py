@@ -141,8 +141,8 @@ def cmd_eigen_sweep(args):
 
 
 def cmd_quasimode_sweep(args):
-    branches = _branches(args, verify.RESIDUAL_SWEEP[args.beta][0])
-    qms = verify.quasimode_sweep(args.beta, branches)
+    m_list, cap_dx = verify.RESIDUAL_SWEEP[args.beta]
+    qms = verify.quasimode_sweep(args.beta, _branches(args, m_list), cap_dx)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_profiles:
@@ -209,6 +209,9 @@ def cmd_fit(args):
         if col not in (data.dtype.names or ()):
             raise StripDampError(f"{args.input} has no column {col!r} "
                                  f"(columns: {', '.join(data.dtype.names or ())})")
+    if not np.all(np.diff(data[args.t_col]) > 0):
+        raise StripDampError(f"{args.input}: column {args.t_col!r} is not strictly increasing; "
+                             "a file with one trace per m must be split, one file per trace")
     trace = evolve.EnergyTrace(data[args.t_col], data[args.e_col], m=0)
     rate = evolve.fit_decay(trace)
     summary = {

@@ -39,6 +39,10 @@ __all__ = [
     "raw_compatibility_root",
 ]
 
+# stopping rule of the raw-determinant secant oracle
+_SECANT_TOL = 1e-13     # relative step in lambda
+_SECANT_MAX_ITER = 60
+
 
 def reflection_coeff(lam: complex, h: float, a: float) -> complex:
     """Coefficient -exp(-2 i lam a / h) of the reflected exponential, fixing
@@ -282,14 +286,7 @@ def admissible_h_max(ctx: EigenContext) -> float:
     return lo
 
 
-def raw_compatibility_root(
-    l: float,
-    h: float,
-    ctx: EigenContext,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 60,
-):
+def raw_compatibility_root(l: float, h: float, ctx: EigenContext):
     """Secant root of the undecomposed matching determinant, in lambda.
 
     D(lambda) = v'(a) F(0, eta(lambda)) - v(a) h^(-2/(beta+2)) with v the
@@ -318,7 +315,7 @@ def raw_compatibility_root(
     lam1 = lam_first * (1.0 + 1e-3)
     d0, d1 = D(lam0), D(lam1)
     lam_scale = abs(lam_first)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SECANT_MAX_ITER + 1):
         denom = d1 - d0
         if denom == 0:
             raise RootFindError("secant iteration degenerated (flat determinant)")
@@ -326,9 +323,9 @@ def raw_compatibility_root(
         lam0, d0 = lam1, d1
         lam1 = lam2
         d1 = D(lam1)
-        if abs(lam1 - lam0) < tol * lam_scale:
+        if abs(lam1 - lam0) < _SECANT_TOL * lam_scale:
             break
     else:
-        raise RootFindError(f"secant did not converge in {max_iter} iterations")
+        raise RootFindError(f"secant did not converge in {_SECANT_MAX_ITER} iterations")
     mu_equiv = (lam1 - np.pi * l * h / a) / h**lam_pow - ctx.A1
     return lam1, mu_equiv, it

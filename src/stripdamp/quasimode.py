@@ -48,6 +48,8 @@ __all__ = [
     "damping_identity",
 ]
 
+_DIRECT_RESIDUAL_N = 60000   # uniform grid intervals of direct_residual_norm on (0, b)
+
 
 def ansatz_params(eig: EigenSolution, b: float):
     """(q, m) for a matched eigen solution; m must come out integral."""
@@ -64,8 +66,6 @@ def ansatz_params(eig: EigenSolution, b: float):
 
 def _wkb_y_limit(beta: float) -> float:
     """y beyond which the half-line solution underflows (WKB decay exponent 600)."""
-    if beta == 0:
-        return 600.0 / math.cos(math.pi / 4.0)
     c = math.cos(math.pi / 4.0) * 2.0 / (beta + 2.0)
     return (600.0 / c) ** (2.0 / (beta + 2.0))
 
@@ -281,7 +281,7 @@ def build_quasimode(
     )
 
 
-def direct_residual_norm(qm: Quasimode, profile: DampingProfile, n: int = 40000) -> float:
+def direct_residual_norm(qm: Quasimode, profile: DampingProfile) -> float:
     """Cross-check: same residual from raw finite differences of u.
 
     Resamples u on a uniform grid, differentiates it blindly and uses the
@@ -289,8 +289,7 @@ def direct_residual_norm(qm: Quasimode, profile: DampingProfile, n: int = 40000)
     cancellation, so only meaningful at moderate frequencies; used to
     validate the assembled path, not for sweeps.
     """
-    x = np.linspace(0.0, qm.b, n + 1)
-    dx = qm.b / n
+    x, dx = np.linspace(0.0, qm.b, _DIRECT_RESIDUAL_N + 1, retstep=True)
     u = qm.evaluate(x)
     upp = fd_derivative(u, dx, order=2)
     Wx = profile.damping(x)

@@ -317,8 +317,8 @@ def check_frequency_placement(beta: float) -> StageReport:
 # ---------------------------------------------------------------------------
 # criteria 4 and 6: quasimode sweeps
 
-def quasimode_sweep(beta: float, m_list, cap_dx: float = 5.0e-5) -> list:
-    """Quasimodes along ascending m in the pinned geometry."""
+def quasimode_sweep(beta: float, m_list, cap_dx: float) -> list:
+    """Quasimodes along ascending m in the pinned geometry, at half-line mesh cap_dx."""
     cfg = default_config(beta)
     return [quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=cap_dx)
             for _, sol in mode_branch(beta, m_list)]

@@ -56,6 +56,16 @@ class TestSubcommands:
         cli.write_csv(gate, [{"t": r["t"], "E": r["E"]} for r in rows if r["m"] == 64])
         assert (tmp_path / "cli" / "energy_trace.csv").read_bytes() == gate.read_bytes()
 
+    @pytest.mark.parametrize("beta", ["0", "1", "2"])
+    def test_quasimode_sweep_writes_what_verify_all_writes(self, tmp_path, beta):
+        # the sweep subcommand builds verify-all's residual sweep at its pinned mesh
+        rc = cli.main(["--out-dir", str(tmp_path / "cli"), "quasimode-sweep", "--beta", beta])
+        assert rc == 0
+        gate = tmp_path / "gate.csv"
+        cli.write_csv(gate, verify.quasimode_rows(
+            verify.quasimode_sweep_data(float(beta), "residual")))
+        assert (tmp_path / "cli" / "quasimode_sweep.csv").read_bytes() == gate.read_bytes()
+
     def test_quasimode_sweep_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -256,6 +266,18 @@ class TestInputChecks:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_fit_rejects_a_multi_trace_file(self, tmp_path, capsys):
+        # verify-all's energy traces hold one trace per m, one after the other
+        trace = tmp_path / "traces.csv"
+        trace.write_text("m,t,E\n" + "".join(f"{m},{t},{t ** -3.0}\n"
+                                             for m in (64, 128) for t in range(1, 101)),
+                         encoding="utf-8")
+        rc = cli.main(["fit", "--input", str(trace)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not strictly increasing" in err and "one trace per m" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_missing_fit_input_rejected(self, tmp_path, capsys):

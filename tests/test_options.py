@@ -69,12 +69,6 @@ ALLOWED = {
     # the "fd" path differences the solved factor twice; tests compare the
     # collapsed residual against it
     ("quasimode", "build_quasimode", "second_derivative"): "cross-check path",
-    # independent oracles keep their own tolerances and grids, untouched by design
-    ("cap", "boundary_value_by_shooting", "L"): "independent oracle",
-    ("cap", "boundary_value_by_shooting", "rtol"): "independent oracle",
-    ("eigen", "raw_compatibility_root", "tol"): "independent oracle",
-    ("eigen", "raw_compatibility_root", "max_iter"): "independent oracle",
-    ("quasimode", "direct_residual_norm", "n"): "independent oracle",
     # the console script calls main() with no arguments; argv exists so the
     # command line can be driven from Python
     ("cli", "main", "argv"): "entry point",

@@ -230,7 +230,7 @@ class TestResidual:
         assert rel < 1e-7
 
     def test_assembled_matches_direct_fd(self, qm1, profile1):
-        direct = quasimode.direct_residual_norm(qm1, profile1, n=60000)
+        direct = quasimode.direct_residual_norm(qm1, profile1)
         assert direct == pytest.approx(qm1.residual, rel=0.05)
 
     def test_fd_factor_variant_agrees_at_moderate_frequency(self, profile1, cutoff):
@@ -307,7 +307,7 @@ class TestSweeps:
 def test_tail_check_fails_when_no_tail_clears_the_floor(monkeypatch):
     # with no local slope to read, the check reports FAIL instead of raising
     qms = [dataclasses.replace(qm, tail=1e-300)
-           for qm in verify.quasimode_sweep(1.0, verify.TAIL_SWEEP_M[1.0][:2])]
+           for qm in verify.quasimode_sweep(1.0, verify.TAIL_SWEEP_M[1.0][:2], 5e-5)]
     monkeypatch.setattr(verify, "quasimode_sweep_data", lambda beta, which: qms)
     check = verify.check_tail_decay(1.0).checks[0]
     assert check.name == "tail mass decays super-polynomially (beta=1)"

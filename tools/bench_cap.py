@@ -18,20 +18,19 @@ own `src`:
   mesh: 4.72M points, at the matched eta). Each case also prints F(0),
   dF(0)/deta and the sha256 of F, so two checkouts compare bit for bit,
   and at the default grids the relative F(0) error against backward
-  DOP853 shooting (`cap.boundary_value_by_shooting`). On a checkout that
-  has `cap.boundary_value`, the same is timed and printed for one
-  `boundary_value` call (the extrapolated coarse pair the eigenvalue
-  matching reads) at beta = 0, 1 and 2. The four builds of the
+  DOP853 shooting (`cap.boundary_value_by_shooting`). The same is timed
+  and printed for one `boundary_value` call (the extrapolated coarse pair
+  the eigenvalue matching reads) at beta = 0, 1 and 2. The four builds of the
   `quasimode-profiles` workload (beta = 0, m = 2048 and 4096 at dx = 4e-5;
   beta = 2, m = 512 and 1024 at dx = 1e-5, roots by continuation from a
   cold start at the first m) are timed, best of 3, with one sha256 per
   build over `x`, `w`, `u`, `v`, `dv`, `d2v`, `y_cap`, `F_cap` and the
-  floats `norm`, `residual`, `inner_residual` and `tail` (on a checkout
-  that defers the re-evaluation solve, reading `y_cap` makes it, after the
-  timing). Cold start: the median wall time of 10 fresh processes that
-  `import stripdamp.cli`, and of 10 that run `stripbench/probe.py 0 1 2`
-  (the benchmark's set-up probe), with the `scipy.*` subpackages the
-  import leaves in `sys.modules`.
+  floats `norm`, `residual`, `inner_residual` and `tail` (reading `y_cap`
+  makes the deferred re-evaluation solve, after the timing). Cold start:
+  the median wall time of 10 fresh processes that `import stripdamp.cli`,
+  and of 10 that run `stripbench/probe.py 0 1 2` (the benchmark's set-up
+  probe), with the `scipy.*` subpackages the import leaves in
+  `sys.modules`.
 * stripbench: `stripbench/run.py --trace 0` on all four workloads, in N
   pairs that alternate which checkout runs first (the pairing code of
   `bench_resolvent.py`).
@@ -116,8 +115,7 @@ def measure_kernel(src):
     beta, m = PROFILE_CASE
     cases[f"beta={beta:g} m={m} profile grid"] = max(calls, key=lambda a: a[3])
 
-    shot = {beta: cap.boundary_value_by_shooting(DEFAULT_GRID_ETA, beta, cap.default_truncation(beta))
-            for beta in verify.BETAS}
+    shot = {beta: cap.boundary_value_by_shooting(DEFAULT_GRID_ETA, beta) for beta in verify.BETAS}
 
     def error(f0, beta):
         return float(f"{abs(f0 - shot[beta]) / abs(shot[beta]):.3g}")
@@ -131,14 +129,13 @@ def measure_kernel(src):
                       "F_sha256": hashlib.sha256(F.tobytes()).hexdigest()}
         if eta == DEFAULT_GRID_ETA:
             out[label]["F0_err_vs_shooting"] = error(f0, beta)
-    if hasattr(cap, "boundary_value"):
-        for beta in verify.BETAS:
-            L = cap.default_truncation(beta)
-            (f0, df0), best = best_of_3(cap.boundary_value, DEFAULT_GRID_ETA, beta, L)
-            out[f"beta={beta:g} boundary_value"] = {
-                "eta": repr(DEFAULT_GRID_ETA), "L": L, "ms": round(best * 1e3, 3),
-                "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
-                "F0_err_vs_shooting": error(f0, beta)}
+    for beta in verify.BETAS:
+        L = cap.default_truncation(beta)
+        (f0, df0), best = best_of_3(cap.boundary_value, DEFAULT_GRID_ETA, beta, L)
+        out[f"beta={beta:g} boundary_value"] = {
+            "eta": repr(DEFAULT_GRID_ETA), "L": L, "ms": round(best * 1e3, 3),
+            "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
+            "F0_err_vs_shooting": error(f0, beta)}
     out.update(builds)
     out["cold start"] = startup
     return out

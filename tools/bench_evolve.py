@@ -4,9 +4,9 @@
     python3 tools/bench_evolve.py kernel ROOT
 
 PARENT and CHANGE are roots of two checkouts of this repository, for
-example a `git archive` of the parent commit and the working tree; the
-kernel needs a checkout with `verify.decay_run`. Every measurement runs in
-a fresh process at one BLAS thread, on each checkout's own `src`:
+example a `git archive` of the parent commit and the working tree. Every
+measurement runs in a fresh process at one BLAS thread, on each checkout's
+own `src`:
 
 * kernel: for the quasimode decay runs at beta = 1, m = 64 and 128 and at
   beta = 2, m = 724 (the `EVOLVE_MODES` runs, as `verify.decay_run` sets
