@@ -174,7 +174,7 @@ def cmd_resolvent_scan(args):
         s0 = scan.samples[0]
         op = resolvent.assemble_reduced_operator(s0.q, s0.m,
                                                  verify.default_config(beta).profile, s0.n)
-        off = np.full(op.n - 1, -1.0 / op.dx**2)
+        off = np.full(op.grid.n - 1, op.grid.off)
         matrix = sp.diags([off, op.diag, off], [-1, 0, 1], format="csc", dtype=complex)
         mtx = out / f"operator_q{s0.q:.3f}_m{s0.m}.mtx"
         scipy.io.mmwrite(str(mtx), matrix)

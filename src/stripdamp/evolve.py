@@ -36,7 +36,7 @@ from scipy.linalg import lapack
 
 from .errors import InstabilityError, PreconditionError, ResolutionError
 from .fits import FitResult, linear_fit
-from .model import grid_spacing, interior_grid
+from .model import StripGrid, transverse_shift
 
 __all__ = [
     "WaveState",
@@ -65,12 +65,12 @@ class WaveState:
         return self.u.shape[0]
 
     @property
-    def dx(self) -> float:
-        return grid_spacing(self.b, self.n)
+    def grid(self) -> StripGrid:
+        return StripGrid(self.b, self.n)
 
     @property
     def x(self) -> np.ndarray:
-        return interior_grid(self.b, self.n)[0]
+        return self.grid.x
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,22 @@ class RateFit:
     reason: str = ""          # 'r2' or 'curvature' when inconclusive
 
 
-def _shift(m: int, b: float) -> float:
-    """The transverse term 4 pi^2 m^2 / b^2 of the stiffness."""
-    return 4.0 * math.pi**2 * m**2 / b**2
-
-
 def discrete_energy(state: WaveState) -> float:
     """E = (<A u, u> + |v|^2) * dx / 2 with the discrete stiffness A.
 
     A is -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends; <A u, u> is
     summed by parts as the squared differences plus the two end terms.
     """
-    u, v, dx = state.u, state.v, state.dx
+    u, v, dx = state.u, state.v, state.grid.dx
     du = np.diff(u)
     grad = (np.vdot(du, du).real + abs(u[0]) ** 2 + abs(u[-1]) ** 2) / dx**2
-    quad = grad + _shift(state.m, state.b) * np.vdot(u, u).real + np.vdot(v, v).real
+    quad = grad + transverse_shift(state.m, state.b) * np.vdot(u, u).real + np.vdot(v, v).real
     return 0.5 * dx * float(quad)
 
 
 def quasimode_state(qm, n: int) -> WaveState:
     """Initial data (u, i q u) resampling a stored quasimode on n points."""
-    x, _ = interior_grid(qm.b, n)
-    u = qm.evaluate(x)
+    u = qm.evaluate(StripGrid(qm.b, n).x)
     return WaveState(u=u, v=1j * qm.q * u, m=qm.m, b=qm.b, t=0.0)
 
 
@@ -141,9 +135,9 @@ def evolve(
     if stride < 1:
         raise PreconditionError(f"stride must be at least 1 (got {stride})")
     n, b, m = initial.n, initial.b, initial.m
-    x, dx = interior_grid(b, n)
-    W = profile.damping(x)
-    shift = _shift(m, b)
+    grid = initial.grid
+    W = grid.damping(profile)
+    shift = transverse_shift(m, b)
     freq = math.sqrt(shift)
     if dt * freq > 1.5:
         raise ResolutionError(
@@ -151,8 +145,8 @@ def evolve(
         )
     alpha = 0.5 * dt
     one_plus_aw = 1.0 + alpha * W
-    sd, se, info = lapack.dpttrf(one_plus_aw + alpha**2 * (2.0 / dx**2 + shift),
-                                 np.full(n - 1, -alpha**2 / dx**2))
+    sd, se, info = lapack.dpttrf(one_plus_aw + alpha**2 * (2.0 / grid.dx**2 + shift),
+                                 np.full(n - 1, -alpha**2 / grid.dx**2))
     if info > 0:
         raise InstabilityError(
             f"the step matrix diag(1 + W dt/2) + (dt/2)^2 A is not positive definite "

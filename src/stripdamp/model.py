@@ -10,6 +10,7 @@ half-line solutions into functions vanishing at the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,15 +148,41 @@ class CutoffFunction:
         return out if out.shape else float(out)
 
 
-def grid_spacing(b: float, n: int) -> float:
-    """Spacing 2b / (n + 1) of n interior points of (-b, b)."""
-    return 2.0 * b / (n + 1)
+def transverse_shift(m: int, b: float) -> float:
+    """4 pi^2 m^2 / b^2, the term transverse mode m adds to -d^2/dx^2."""
+    return 4.0 * math.pi**2 * m**2 / b**2
 
 
-def interior_grid(b: float, n: int) -> tuple[np.ndarray, float]:
-    """(x, dx): the n interior points of (-b, b) at spacing grid_spacing(b, n)."""
-    dx = grid_spacing(b, n)
-    return -b + dx * np.arange(1, n + 1), dx
+@dataclass(frozen=True)
+class StripGrid:
+    """The n interior points x of (-b, b), at spacing dx = 2b / (n + 1), and
+    the discrete Dirichlet -d^2/dx^2 on them: 2/dx^2 on its diagonal, off
+    beside it, and its eigenvalues in spectrum (ascending)."""
+
+    b: float
+    n: int
+
+    @property
+    def dx(self) -> float:
+        return 2.0 * self.b / (self.n + 1)
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return -self.b + self.dx * np.arange(1, self.n + 1)
+
+    @property
+    def off(self) -> float:
+        return -1.0 / self.dx**2
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """4/dx^2 sin^2(k pi / (2 (n + 1))) for k = 1..n."""
+        k = np.arange(1, self.n + 1)
+        return 4.0 / self.dx**2 * np.sin(k * math.pi / (2.0 * (self.n + 1))) ** 2
+
+    def damping(self, profile) -> np.ndarray:
+        """W of profile sampled on x."""
+        return profile.damping(self.x)
 
 
 def select_h(m: int, b: float) -> float:

@@ -15,9 +15,9 @@ coefficient collapses algebraically:
 
 The residual of the reduced stationary operator is evaluated in exactly that
 collapsed form, which removes the 1/h^4 cancellation that would otherwise
-swamp the measurement in floating point. Derivatives of the rescaled
-half-line factor are taken by fourth-order differences on its own fine grid,
-at the grid points that bracket a quadrature node and nowhere else; the
+swamp the measurement in floating point. The half-line factor's first
+derivative is a fourth-order difference at the grid points bracketing a
+quadrature node, its second comes from the equation it solves, and the
 oscillatory part and the cutoff are differentiated analytically.
 
 Quasimode.evaluate re-evaluates a build anywhere from a cubic spline of a
@@ -37,7 +37,7 @@ import numpy as np
 from . import cap
 from .eigen import EigenSolution, left_solution
 from .errors import ConfigError, PreconditionError
-from .model import CutoffFunction, DampingProfile
+from .model import CutoffFunction, DampingProfile, transverse_shift
 from .quadrature import complex_interp, fd_derivative, fd_derivative_at, gauss_panels
 
 __all__ = [
@@ -169,23 +169,17 @@ def build_quasimode(
     cutoff: CutoffFunction,
     *,
     cap_dx: float = 5e-5,
-    second_derivative: str = "equation",
 ) -> Quasimode:
     """Glue, cut off and extend one matched eigen solution; measure it.
 
     Preconditions: h < sigma^(beta/2) (the tail estimate needs it) and the
     geometry of eig must match the profile.
 
-    second_derivative selects how the decaying factor is twice
-    differentiated: 'equation' substitutes the equation it solves (exact
-    given the samples, and the samples are cross-checked independently),
-    'fd' uses fourth-order differences, which amplify the linear-solver
-    rounding noise by the squared rescaling and floor the measurable
-    residual once frequencies get large. 'fd' exists for cross-checks at
-    moderate frequency.
+    The decaying factor's second derivative substitutes the equation it
+    solves, exact given the samples. Fourth-order differences would amplify
+    the linear-solver rounding noise by the squared rescaling and floor the
+    measurable residual once frequencies get large.
     """
-    if second_derivative not in ("equation", "fd"):
-        raise ValueError("second_derivative must be 'equation' or 'fd'")
     beta, a, h = eig.beta, eig.a, eig.h
     sigma, b = profile.sigma, profile.b
     if abs(beta - profile.beta) > 0 or abs(a - profile.a) > 0:
@@ -246,10 +240,7 @@ def build_quasimode(
     K = np.unique(np.clip(np.concatenate([j, j + 1]), 0, nF))
     yK, FK = y[K], F[K]
     F1 = fd_derivative_at(F, dy, K, 1)
-    if second_derivative == "equation":
-        F2 = (1j * yK**beta - eig.eta) * FK
-    else:
-        F2 = fd_derivative_at(F, dy, K, 2)
+    F2 = (1j * yK**beta - eig.eta) * FK
     v[~left] = B_fine * complex_interp(yq, yK, FK)
     dv[~left] = B_fine * complex_interp(yq, yK, F1) / s
     d2v[~left] = B_fine * complex_interp(yq, yK, F2) / s**2
@@ -293,7 +284,7 @@ def direct_residual_norm(qm: Quasimode, profile: DampingProfile) -> float:
     u = qm.evaluate(x)
     upp = fd_derivative(u, dx, order=2)
     Wx = profile.damping(x)
-    coef = 4.0 * math.pi**2 * qm.m**2 / qm.b**2 - qm.q**2
+    coef = transverse_shift(qm.m, qm.b) - qm.q**2
     R = -upp + 1j * qm.q * Wx * u + coef * u
     # trim the endpoints where one-sided stencils meet the Dirichlet zero
     sel = slice(3, -3)

@@ -30,7 +30,7 @@ from scipy.linalg import lapack
 
 from .errors import ResolutionError, RootFindError
 from .fits import FitResult, loglog_fit
-from .model import grid_spacing, interior_grid
+from .model import StripGrid, transverse_shift
 from .quasimode import ansatz_params
 
 __all__ = [
@@ -54,7 +54,7 @@ def effective_wavenumber(q: float, m: int, b: float) -> float:
     at the square root of |q^2 - 4 pi^2 m^2 / b^2|, which near resonance is
     far below q. Resolution requirements follow this, not q itself.
     """
-    return math.sqrt(abs(q * q - 4.0 * math.pi**2 * m**2 / b**2))
+    return math.sqrt(abs(q * q - transverse_shift(m, b)))
 
 
 def min_grid_size(q: float, m: int, b: float) -> int:
@@ -68,14 +68,12 @@ def min_grid_size(q: float, m: int, b: float) -> int:
 
 @dataclass(frozen=True)
 class ReducedOperator:
-    """P(q, m) on n interior points: the diagonal diag, and -1/dx^2 off it."""
+    """P(q, m) on a strip grid: the diagonal diag, and grid.off beside it."""
 
     diag: np.ndarray
-    x: np.ndarray
-    dx: float
+    grid: StripGrid
     q: float
     m: int
-    n: int
 
 
 def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
@@ -87,10 +85,9 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOpera
             f"n = {n} under-resolves (q = {q}, m = {m}): need at least {need} "
             "points (20 per effective wavelength)"
         )
-    x, dx = interior_grid(b, n)
-    W = profile.damping(x)
-    diag = 2.0 / dx**2 + 1j * q * W + (4.0 * math.pi**2 * m**2 / b**2 - q * q)
-    return ReducedOperator(diag=diag, x=x, dx=dx, q=float(q), m=int(m), n=int(n))
+    grid = StripGrid(b, int(n))
+    diag = 2.0 / grid.dx**2 + 1j * q * grid.damping(profile) + (transverse_shift(m, b) - q * q)
+    return ReducedOperator(diag=diag, grid=grid, q=float(q), m=int(m))
 
 
 # Lanczos basis size of the sigma_min iteration. ARPACK fills the whole basis
@@ -112,8 +109,8 @@ class ResolventSample:
 def _smallest_singular_value(op: ReducedOperator, tol: float) -> float:
     import scipy.sparse.linalg as spla
 
-    n = op.n
-    off = np.full(n - 1, -1.0 / op.dx**2, dtype=complex)
+    n = op.grid.n
+    off = np.full(n - 1, op.grid.off, dtype=complex)
     dl, d, du, du2, ipiv, info = lapack.zgttrf(off, op.diag, off)
     if info > 0:
         raise RuntimeError(f"P is singular: zgttrf found a zero pivot U({info}, {info})")
@@ -165,18 +162,16 @@ def _window_grid_size(q: float, b: float) -> int:
 SKIP_MARGIN = 1e-6
 
 
-def _numerical_range_distance(q: float, m: int, b: float, n: int,
+def _numerical_range_distance(q: float, m: int, grid: StripGrid,
                               w_min: float, w_max: float) -> float:
     """Distance from 0 to a rectangle holding the numerical range of P(q, m).
 
-    The Hermitian part K + s has the closed-form spectrum lambda_k + s of the
-    discrete Dirichlet -d^2/dx^2, and q W ranges over [q min W, q max W], so
-    |<P u, u>| >= this distance for unit u and norm(q, m) <= 1 / distance.
+    The Hermitian part K + s has the spectrum grid.spectrum + s, and q W
+    ranges over [q min W, q max W], so |<P u, u>| >= this distance for unit u
+    and norm(q, m) <= 1 / distance.
     """
-    dx = grid_spacing(b, n)
-    s = 4.0 * math.pi**2 * m**2 / b**2 - q * q
-    lam1 = 4.0 / dx**2 * math.sin(math.pi / (2.0 * (n + 1))) ** 2
-    re_lo, re_hi = lam1 + s, 4.0 / dx**2 - lam1 + s
+    s = transverse_shift(m, grid.b) - q * q
+    re_lo, re_hi = float(grid.spectrum[0]) + s, float(grid.spectrum[-1]) + s
     im_lo, im_hi = sorted((q * w_min, q * w_max))
     return math.hypot(max(re_lo, -re_hi, 0.0), max(im_lo, -im_hi, 0.0))
 
@@ -192,15 +187,15 @@ def scan_point(q: float, profile) -> ResolventSample:
     mode has d > 0, so P is nonsingular there.
     """
     b = profile.b
-    n = _window_grid_size(q, b)
-    W = profile.damping(interior_grid(b, n)[0])
+    grid = StripGrid(b, _window_grid_size(q, b))
+    W = grid.damping(profile)
     w_min, w_max = float(np.min(W)), float(np.max(W))
     best = None
     for mm in _m_window(q, b):
-        d = _numerical_range_distance(q, mm, b, n, w_min, w_max)
+        d = _numerical_range_distance(q, mm, grid, w_min, w_max)
         if best is not None and best.norm * (1.0 - SKIP_MARGIN) * d > 1.0:
             continue
-        samp = resolvent_norm(q, mm, profile, n)
+        samp = resolvent_norm(q, mm, profile, grid.n)
         if best is None or samp.norm > best.norm:
             best = samp
     return best
@@ -263,10 +258,9 @@ def quasimode_lower_bound(qm, profile) -> ResolventSample:
     q = float(qm.q.real)
     n = _peak_grid_size(q, qm.s, qm.b)
     op = assemble_reduced_operator(q, qm.m, profile, n)
-    u = qm.evaluate(op.x)
-    off = -1.0 / op.dx**2
+    u = qm.evaluate(op.grid.x)
     Pu = op.diag * u
-    Pu[1:] += off * u[:-1]
-    Pu[:-1] += off * u[1:]
+    Pu[1:] += op.grid.off * u[:-1]
+    Pu[:-1] += op.grid.off * u[1:]
     bound = float(np.linalg.norm(u) / np.linalg.norm(Pu))
     return ResolventSample(q=q, m=qm.m, norm=bound, n=n)

@@ -24,9 +24,10 @@ from .model import (
     CutoffFunction,
     DampingProfile,
     RunConfig,
+    StripGrid,
     UniformDamping,
-    interior_grid,
     select_h,
+    transverse_shift,
 )
 
 BETAS = (0.0, 1.0, 2.0)
@@ -82,10 +83,10 @@ RESIDUAL_SWEEP = {
     1.0: (tuple(256 * 2**k for k in range(6)), 2.0e-5),
     2.0: (tuple(512 * 2**k for k in range(6)), 1.0e-5),
 }
-TAIL_SWEEP_M = {
-    0.0: tuple(64 * 2**k for k in range(6)),
-    1.0: tuple(64 * 2**k for k in range(6)),
-    2.0: tuple(512 * 2**k for k in range(6)),
+TAIL_SWEEP = {
+    0.0: (tuple(64 * 2**k for k in range(6)), 5.0e-5),
+    1.0: (tuple(64 * 2**k for k in range(6)), 5.0e-5),
+    2.0: (tuple(512 * 2**k for k in range(6)), 5.0e-5),
 }
 
 # resolvent peak branches: octave spacing over 1.5 decades of q, pushed deep
@@ -326,12 +327,7 @@ def quasimode_sweep(beta: float, m_list, cap_dx: float) -> list:
 
 @functools.lru_cache(maxsize=None)
 def quasimode_sweep_data(beta: float, which: str):
-    if which == "residual":
-        m_list, cap_dx = RESIDUAL_SWEEP[beta]
-    elif which == "tail":
-        m_list, cap_dx = TAIL_SWEEP_M[beta], 5.0e-5
-    else:
-        raise ValueError(which)
+    m_list, cap_dx = {"residual": RESIDUAL_SWEEP, "tail": TAIL_SWEEP}[which][beta]
     return quasimode_sweep(beta, m_list, cap_dx)
 
 
@@ -467,10 +463,7 @@ def check_resolvent_w0_control() -> StageReport:
     q, m = 11.0, 3
     zero = UniformDamping(0.0, b)
     samp = resolvent.resolvent_norm(q, m, zero, n)
-    dx = 2.0 * b / (n + 1)
-    k = np.arange(1, n + 1)
-    eigs = 4.0 / dx**2 * np.sin(k * math.pi * dx / (4.0 * b)) ** 2 \
-        + 4.0 * math.pi**2 * m**2 / b**2 - q * q
+    eigs = StripGrid(b, n).spectrum + transverse_shift(m, b) - q * q
     exact = 1.0 / np.min(np.abs(eigs))
     rel = abs(samp.norm - exact) / exact
     rep.checks.append(Check(
@@ -566,7 +559,7 @@ def check_conservation_and_gcc() -> StageReport:
     """Stepper controls on a fixed Gaussian bump, independent of beta."""
     rep = StageReport()
     b, n = 3.0, 1200
-    x, _ = interior_grid(b, n)
+    x = StripGrid(b, n).x
     u = np.exp(-4.0 * x**2) * (1 + 0.2j)
     state = evolve.WaveState(u=u, v=np.zeros_like(u), m=3, b=b)
     zero = UniformDamping(0.0, b)

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from stripdamp import eigen, evolve, quasimode, verify
 from stripdamp.errors import InstabilityError, PreconditionError
-from stripdamp.model import UniformDamping, interior_grid, select_h
+from stripdamp.model import StripGrid, UniformDamping, select_h
 
 
 @pytest.fixture(scope="module")
@@ -16,14 +16,14 @@ def qm(profile1, cutoff):
 
 
 def bump_state(n, b=3.0, m=3):
-    x, _ = interior_grid(b, n)
+    x = StripGrid(b, n).x
     u = np.exp(-4 * x**2) * (1 + 0.2j)
     return evolve.WaveState(u=u, v=np.zeros_like(u), m=m, b=b)
 
 
 def sparse_stiffness(n, b, m):
     """(A, dx): the assembled -d^2/dx^2 + 4 pi^2 m^2 / b^2 with Dirichlet ends."""
-    _, dx = interior_grid(b, n)
+    dx = StripGrid(b, n).dx
     off = np.full(n - 1, -1.0 / dx**2)
     diag = np.full(n, 2.0 / dx**2 + 4.0 * np.pi**2 * m**2 / b**2)
     return sp.diags([off, diag, off], [-1, 0, 1], format="csc"), dx
@@ -36,7 +36,7 @@ def oracle_evolve(state, profile, dt, steps):
     every step, with A the assembled sparse stiffness.
     """
     A, dx = sparse_stiffness(state.n, state.b, state.m)
-    W = profile.damping(interior_grid(state.b, state.n)[0])
+    W = profile.damping(StripGrid(state.b, state.n).x)
     alpha = 0.5 * dt
     one_plus_aw = 1.0 + alpha * W
     lu = spla.splu(sp.diags(one_plus_aw, format="csc", dtype=complex)
@@ -79,13 +79,13 @@ class TestScheme:
         # the bump sits inside the damped region so the per-step dissipation
         # dwarfs the rounding of the energy evaluations
         n = 400
-        x, _ = interior_grid(3.0, n)
+        x = StripGrid(3.0, n).x
         u = np.exp(-6 * (np.abs(x) - 1.8) ** 2) * (1 + 0.2j)
         state = evolve.WaveState(u=u, v=(3.0 + 1.0j) * u, m=3, b=3.0)
         trace, states = evolve.evolve(state, profile1, dt=1e-3, T=0.02,
                                       stride=1, store_states=True)
         W = profile1.damping(x)
-        dx = state.dx
+        dx = state.grid.dx
         for k in range(len(states) - 1):
             vh = 0.5 * (states[k].v + states[k + 1].v)
             lhs = trace.energies[k + 1] - trace.energies[k]

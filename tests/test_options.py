@@ -66,9 +66,6 @@ ALLOWED = {
     # stripbench/tracing.py reads the tol default through inspect.signature
     # to tell coarse solves from default ones
     ("resolvent", "resolvent_norm", "tol"): "default read by the benchmark's tracer",
-    # the "fd" path differences the solved factor twice; tests compare the
-    # collapsed residual against it
-    ("quasimode", "build_quasimode", "second_derivative"): "cross-check path",
     # the console script calls main() with no arguments; argv exists so the
     # command line can be driven from Python
     ("cli", "main", "argv"): "entry point",

@@ -38,6 +38,20 @@ def _full_grid_profile(qm, F, L, nF, second_derivative):
             B * complex_interp(yq, y, F2) / qm.s**2)
 
 
+def _recorded_solves(monkeypatch):
+    """A list that collects (L, n, F) from each half-line solve build_quasimode makes."""
+    solves = []
+    pair = quasimode.cap.boundary_pair
+
+    def recording_pair(eta, beta, L, n):
+        out = pair(eta, beta, L, n)
+        solves.append((L, n, out[2]))
+        return out
+
+    monkeypatch.setattr(quasimode.cap, "boundary_pair", recording_pair)
+    return solves
+
+
 def _eager_evaluate(qm, x, L):
     """Quasimode.evaluate as it was when build_quasimode made the companion
     solve itself: a spline of the decimated spacing-5e-4 factor on [0, L],
@@ -103,37 +117,17 @@ class TestAssembly:
         with pytest.raises(PreconditionError):
             quasimode.build_quasimode(sol, profile, cut)
 
-    def test_bad_second_derivative_fails_before_solving(self, qm1, profile1, cutoff,
-                                                        monkeypatch):
-        calls = []
-        monkeypatch.setattr(quasimode.cap, "boundary_pair",
-                            lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="second_derivative"):
-            quasimode.build_quasimode(qm1.eig, profile1, cutoff, second_derivative="bogus")
-        assert calls == []
-
-    @pytest.mark.parametrize("second_derivative", ["equation", "fd"])
-    def test_bracket_derivatives_match_full_grid(self, profile1, cutoff, second_derivative,
-                                                 monkeypatch):
+    def test_bracket_derivatives_match_full_grid(self, profile1, cutoff, monkeypatch):
         # differencing the factor only at the grid points that bracket a
         # node gives the full-grid profile and measurements bit for bit
         sol = eigen.find_eigenvalue(1, select_h(256, 3.0), verify.context_for(1.0))
-        solves = []
-        pair = quasimode.cap.boundary_pair
-
-        def recording_pair(eta, beta, L, n):
-            out = pair(eta, beta, L, n)
-            solves.append((L, n, out[2]))
-            return out
-
-        monkeypatch.setattr(quasimode.cap, "boundary_pair", recording_pair)
-        qm = quasimode.build_quasimode(sol, profile1, cutoff, cap_dx=2e-5,
-                                       second_derivative=second_derivative)
+        solves = _recorded_solves(monkeypatch)
+        qm = quasimode.build_quasimode(sol, profile1, cutoff, cap_dx=2e-5)
         L, nF, F = solves[0]
         assert nF == round(L / 2e-5)
         right = qm.x >= sol.a
         v, dv, d2v = (np.array(f) for f in (qm.v, qm.dv, qm.d2v))
-        v[right], dv[right], d2v[right] = _full_grid_profile(qm, F, L, nF, second_derivative)
+        v[right], dv[right], d2v[right] = _full_grid_profile(qm, F, L, nF, "equation")
         assert np.array_equal(qm.v, v)
         assert np.array_equal(qm.dv, dv)
         assert np.array_equal(qm.d2v, d2v)
@@ -233,13 +227,22 @@ class TestResidual:
         direct = quasimode.direct_residual_norm(qm1, profile1)
         assert direct == pytest.approx(qm1.residual, rel=0.05)
 
-    def test_fd_factor_variant_agrees_at_moderate_frequency(self, profile1, cutoff):
+    def test_fd_factor_variant_agrees_at_moderate_frequency(self, profile1, cutoff,
+                                                            monkeypatch):
+        # differencing the solved factor twice, instead of substituting the
+        # equation it solves, gives the same residual at moderate frequency
         ctx = verify.context_for(1.0)
         sol = eigen.find_eigenvalue(1, select_h(128, 3.0), ctx)
+        solves = _recorded_solves(monkeypatch)
         qa = quasimode.build_quasimode(sol, profile1, cutoff)
-        qb = quasimode.build_quasimode(sol, profile1, cutoff,
-                                       second_derivative="fd")
-        assert qb.residual == pytest.approx(qa.residual, rel=0.02)
+        L, nF, F = solves[0]
+        right = qa.x >= sol.a
+        v, dv, d2v = (np.array(f) for f in (qa.v, qa.dv, qa.d2v))
+        v[right], dv[right], d2v[right] = _full_grid_profile(qa, F, L, nF, "fd")
+        fd = dataclasses.replace(qa, v=v, dv=dv, d2v=d2v, u=qa.phi * v)
+        norm_sq = float(np.sum(fd.w * np.abs(fd.u) ** 2))
+        R_sq = fd.w * np.abs(_pointwise_residual(fd, profile1)) ** 2
+        assert math.sqrt(np.sum(R_sq) / norm_sq) == pytest.approx(qa.residual, rel=0.02)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     def test_two_dimensional_lift_is_separation_exact(self, beta):
@@ -306,8 +309,9 @@ class TestSweeps:
 
 def test_tail_check_fails_when_no_tail_clears_the_floor(monkeypatch):
     # with no local slope to read, the check reports FAIL instead of raising
+    modes, mesh = verify.TAIL_SWEEP[1.0]
     qms = [dataclasses.replace(qm, tail=1e-300)
-           for qm in verify.quasimode_sweep(1.0, verify.TAIL_SWEEP_M[1.0][:2], 5e-5)]
+           for qm in verify.quasimode_sweep(1.0, modes[:2], mesh)]
     monkeypatch.setattr(verify, "quasimode_sweep_data", lambda beta, which: qms)
     check = verify.check_tail_decay(1.0).checks[0]
     assert check.name == "tail mass decays super-polynomially (beta=1)"

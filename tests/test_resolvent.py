@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from stripdamp import eigen, quasimode, resolvent, verify
 from stripdamp.errors import ResolutionError, RootFindError, StripDampError
 from stripdamp.fits import loglog_fit
-from stripdamp.model import DampingProfile, UniformDamping, interior_grid, select_h
+from stripdamp.model import DampingProfile, StripGrid, UniformDamping, select_h
 
 
 class TestAssembly:
@@ -49,7 +49,7 @@ class TestAssembly:
         # the diagonal of (P + P*)/2
         assert np.allclose(op1.diag.real, op2.diag.real)
         anti1 = op1.diag.imag
-        assert np.allclose(anti1, q * profile1.damping(op1.x))
+        assert np.allclose(anti1, q * profile1.damping(op1.grid.x))
 
     def test_lanczos_failure_raises(self, profile1, monkeypatch):
         # no quiet second path to the norm: the package error names the point
@@ -101,7 +101,7 @@ def test_matches_dense_svd(case, profile1):
     else:
         q, m, profile = 11.0, 3, UniformDamping(0.0, 3.0)
     op = resolvent.assemble_reduced_operator(q, m, profile, n)
-    off = np.full(n - 1, -1.0 / op.dx**2)
+    off = np.full(n - 1, -1.0 / op.grid.dx**2)
     P = np.diag(op.diag) + np.diag(off, -1) + np.diag(off, 1)
     dense = 1.0 / np.linalg.svd(P, compute_uv=False)[-1]
     assert resolvent.resolvent_norm(q, m, profile, n).norm == pytest.approx(dense, rel=1e-8)
@@ -144,9 +144,28 @@ class TestScan:
             assert worst(gamma) <= min(worst(g) for g in grid) + 1e-9
 
 
+def test_strip_grid_spectrum_is_the_dense_spectrum():
+    # the closed form against eigvalsh of the dense tridiagonal -d^2/dx^2,
+    # and its extremes as the numerical-range bound reads them
+    b, n, m = 3.0, 60, 3
+    grid = StripGrid(b, n)
+    dx = 2 * b / (n + 1)
+    off = np.full(n - 1, -1 / dx**2)
+    dense = np.linalg.eigvalsh(np.diag(np.full(n, 2 / dx**2)) + np.diag(off, 1)
+                               + np.diag(off, -1))
+    np.testing.assert_allclose(grid.spectrum, dense, rtol=1e-12, atol=0)
+    # undamped, the distance is lambda_1 + s below the spectrum and
+    # -(lambda_n + s) above it
+    shift = 4 * np.pi**2 * m**2 / b**2
+    for q, expected in ((1.0, dense[0] + shift - 1.0), (60.0, -(dense[-1] + shift - 3600.0))):
+        distance = resolvent._numerical_range_distance(q, m, grid, 0.0, 0.0)
+        assert distance == pytest.approx(expected, rel=1e-12)
+
+
 def _range_distance(q, m, profile, n):
-    W = profile.damping(interior_grid(profile.b, n)[0])
-    return resolvent._numerical_range_distance(q, m, profile.b, n, W.min(), W.max())
+    grid = StripGrid(profile.b, n)
+    W = grid.damping(profile)
+    return resolvent._numerical_range_distance(q, m, grid, W.min(), W.max())
 
 
 def _unpruned_scan_point(q, profile):
