@@ -15,10 +15,14 @@ coefficient collapses algebraically:
 
 The residual of the reduced stationary operator is evaluated in exactly that
 collapsed form, which removes the 1/h^4 cancellation that would otherwise
-swamp the measurement in floating point. The half-line factor's first
-derivative is a fourth-order difference at the grid points bracketing a
-quadrature node, its second comes from the equation it solves, and the
-oscillatory part and the cutoff are differentiated analytically.
+swamp the measurement in floating point. The half-line factor is solved
+on a uniform grid that ends just past x = b - delta, where the cutoff
+reaches 0 (sooner only where _wkb_y_limit caps it, past which the factor
+has underflowed), and is read as 0 beyond it. Its first derivative is a
+fourth-order difference at the grid points bracketing a quadrature node,
+computed from their indices rather than from a stored grid; its second
+comes from the equation it solves, and the oscillatory part and the cutoff
+are differentiated analytically.
 
 Quasimode.evaluate re-evaluates a build anywhere from a cubic spline of a
 coarser companion solve. That solve, and the import of scipy.interpolate,
@@ -68,6 +72,23 @@ def _wkb_y_limit(beta: float) -> float:
     """y beyond which the half-line solution underflows (WKB decay exponent 600)."""
     c = math.cos(math.pi / 4.0) * 2.0 / (beta + 2.0)
     return (600.0 / c) ** (2.0 / (beta + 2.0))
+
+
+def _grid_points(i, L, n):
+    """np.linspace(0, L, n + 1)[i] without the array: i * (L / n), and L at n."""
+    return np.where(i == n, L, i * (L / n))
+
+
+def _bracket(yq, L, n):
+    """np.searchsorted(np.linspace(0, L, n + 1), yq, "right") - 1 without the array.
+
+    The quotient yq / (L / n) can round across a grid point, so its floor is
+    corrected by one step either way against the grid points themselves.
+    """
+    j = np.clip(np.floor(yq / (L / n)), -1, n).astype(np.intp)
+    j[(j < n) & (_grid_points(j + 1, L, n) <= yq)] += 1
+    j[(j >= 0) & (_grid_points(j, L, n) > yq)] -= 1
+    return j
 
 
 @dataclass(frozen=True)
@@ -144,8 +165,10 @@ class Quasimode:
         """Profile on arbitrary points of (-b, b), odd extension included.
 
         The decaying factor is reconstructed by cubic spline (smooth enough
-        to survive finite differencing downstream); beyond its stored range
-        the factor has underflowed and is returned as zero.
+        to survive finite differencing downstream) and returned as zero
+        beyond its stored range. That range ends past x = b - delta, where
+        the cutoff is 0; it ends sooner only where _wkb_y_limit caps the
+        grid, past which the factor has underflowed.
         """
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
@@ -193,12 +216,12 @@ def build_quasimode(
     s = h ** (2.0 / (beta + 2.0))
     lam = eig.lambda_h
 
-    # half-line factor on a grid long enough to cover x = b after rescaling
-    y_needed = (b - a) / s
+    # half-line factor on a grid long enough to cover x = b - delta after
+    # rescaling: past it the cutoff is 0, so the factor is never read there
+    y_needed = (b - cutoff.delta - a) / s
     L = min(max(cap.default_truncation(beta), 1.02 * y_needed), _wkb_y_limit(beta))
     nF = max(2000, int(round(L / cap_dx)))
     _, _, F = cap.boundary_pair(eig.eta, beta, L, nF)
-    y = np.linspace(0.0, L, nF + 1)
     dy = L / nF
 
     # quadrature panels never straddle the kinks of W, the gluing point or
@@ -234,11 +257,11 @@ def build_quasimode(
     yq = (X[~left] - a) / s
     # linear interpolation reads only the two grid points bracketing a node,
     # so the factor is differenced at those points alone; each bracket is a
-    # pair of adjacent entries of K, and interpolating on y[K] gives the
-    # full-grid values bit for bit
-    j = np.searchsorted(y, yq, "right") - 1
+    # pair of adjacent entries of K, and interpolating on the grid points
+    # of K gives the full-grid values bit for bit
+    j = _bracket(yq, L, nF)
     K = np.unique(np.clip(np.concatenate([j, j + 1]), 0, nF))
-    yK, FK = y[K], F[K]
+    yK, FK = _grid_points(K, L, nF), F[K]
     F1 = fd_derivative_at(F, dy, K, 1)
     F2 = (1j * yK**beta - eig.eta) * FK
     v[~left] = B_fine * complex_interp(yq, yK, FK)
@@ -298,6 +321,10 @@ def mass_bound_check(qm: Quasimode, profile: DampingProfile):
 
     ratio = |v|^2_{L2(0,b)} / |phi v|^2_{L2(0,b)} must not exceed
     bound = 1 + sigma^beta / (sigma^beta - h^2) whenever h < sigma^(beta/2).
+    The sampled v is 0 past the end of the factor's grid, just beyond
+    x = b - delta, so the ratio leaves out the |v|^2 mass between that end
+    and b: at most 1.1e-16 of |v|^2 in the tail sweeps (beta = 1, m = 64),
+    below the rounding of the sum, and under 1e-22 from m = 256 on.
     """
     sb = profile.sigma**profile.beta
     if not qm.h**2 < sb:
@@ -314,9 +341,10 @@ def damping_identity(qm: Quasimode, profile: DampingProfile):
     """(lhs, rhs): integral of (x-a)_+^beta |v|^2 against Im(lambda^2) |v|^2.
 
     For the exact half-line solution these are equal; the sampled profile
-    reproduces the identity up to solver and truncation error. Integration
-    stops at b, beyond which the factor has decayed below double precision
-    for every h this package sweeps.
+    reproduces the identity up to solver and truncation error. The sampled
+    v is 0 past the end of the factor's grid, just beyond x = b - delta,
+    so both sides leave out the |v|^2 mass between that end and b, as
+    mass_bound_check does: at most 1.1e-16 of it in the tail sweeps.
     """
     edge = profile.edge_power(qm.x)
     lhs = float(np.sum(qm.w * edge * np.abs(qm.v) ** 2))

@@ -52,6 +52,11 @@ def _recorded_solves(monkeypatch):
     return solves
 
 
+def _linspace_bracket(yq, L, n):
+    """Bracket index of each yq on the half-line factor's full grid."""
+    return np.searchsorted(np.linspace(0.0, L, n + 1), yq, "right") - 1
+
+
 def _eager_evaluate(qm, x, L):
     """Quasimode.evaluate as it was when build_quasimode made the companion
     solve itself: a spline of the decimated spacing-5e-4 factor on [0, L],
@@ -141,6 +146,76 @@ class TestAssembly:
         assert qm.tail == float(np.sum(qm.w[tail_sel] * np.abs(u[tail_sel]) ** 2) / norm_sq)
         assert qm.residual == float(math.sqrt(np.sum(R_sq) / norm_sq))
         assert qm.inner_residual == float(math.sqrt(np.sum(R_sq[~tail_sel]) / norm_sq))
+
+
+class TestHalfLineGrid:
+    """The factor's grid ends past x = b - delta, where the cutoff is 0, and
+    its points are computed where they are read, not stored as an array."""
+
+    def test_grid_covers_the_cutoff_support_and_no_more(self, monkeypatch):
+        cfg = verify.default_config(2.0)
+        profile, cutoff = cfg.profile, cfg.cutoff
+        a, b, delta = profile.a, profile.b, cutoff.delta
+        mesh = verify.RESIDUAL_SWEEP[2.0][1]
+        sol = eigen.find_eigenvalue(1, select_h(1024, b), verify.context_for(2.0))
+        solves = _recorded_solves(monkeypatch)
+        qm = quasimode.build_quasimode(sol, profile, cutoff, cap_dx=mesh)
+        assert len(solves) == 1
+        L, n, _ = solves[0]
+
+        # each node the cutoff keeps has both points of its bracket on the grid
+        kept = (qm.phi != 0.0) & (qm.x >= a)
+        j = _linspace_bracket((qm.x[kept] - a) / qm.s, L, n)
+        assert j.min() >= 0 and j.max() + 1 <= n
+        assert a + L * qm.s > b - delta
+
+        # covering x = b would take a quarter more points
+        L_b = min(max(cap.default_truncation(2.0), 1.02 * (b - a) / qm.s),
+                  quasimode._wkb_y_limit(2.0))
+        assert (n, max(2000, int(round(L_b / mesh)))) == (1_110_605, 1_388_257)
+
+        assert np.all(qm.u[qm.x >= b - delta] == 0.0)
+        x = np.linspace(b - delta, b, 201)
+        assert np.all(qm.evaluate(np.concatenate([x, -x])) == 0.0)
+
+    def test_bracket_arithmetic_is_the_linspace_search(self):
+        L, n = 13.3, 1_110_603
+        assert n * (L / n) != L   # the last grid point is L, not n * dy
+        y = np.linspace(0.0, L, n + 1)
+        rng = np.random.default_rng(3)
+        on_grid = y[rng.integers(0, n + 1, 2000)]
+        yq = np.concatenate([
+            rng.uniform(0.0, L, 20000), on_grid,
+            np.nextafter(on_grid, -np.inf), np.nextafter(on_grid, np.inf),
+            [0.0, L, np.nextafter(L, 0.0), np.nextafter(L, np.inf), 1.5 * L],
+        ])
+        j = quasimode._bracket(yq, L, n)
+        assert np.array_equal(j, _linspace_bracket(yq, L, n))
+        K = np.unique(np.clip(np.concatenate([j, j + 1]), 0, n))
+        assert K[-1] == n
+        assert np.array_equal(quasimode._grid_points(K, L, n), y[K])
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    def test_build_matches_the_linspace_grid_build(self, beta, monkeypatch):
+        # bracketing by arithmetic gives the build that reads the full
+        # linspace grid, byte for byte
+        cfg = verify.default_config(beta)
+        m_list, mesh = verify.RESIDUAL_SWEEP[beta]
+        sols = [sol for _, sol in verify.mode_branch(beta, m_list[:2])]
+
+        def build(sol):
+            return quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=mesh)
+
+        built = [build(sol) for sol in sols]
+        monkeypatch.setattr(quasimode, "_bracket", _linspace_bracket)
+        monkeypatch.setattr(quasimode, "_grid_points",
+                            lambda i, L, n: np.linspace(0.0, L, n + 1)[i])
+        for qm, sol in zip(built, sols):
+            ref = build(sol)
+            for name in ("x", "u", "v"):
+                assert getattr(qm, name).tobytes() == getattr(ref, name).tobytes()
+            for name in ("residual", "tail", "norm"):
+                assert getattr(qm, name) == getattr(ref, name)
 
 
 class TestDeferredEvaluation:

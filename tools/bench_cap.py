@@ -15,15 +15,17 @@ own `src`:
   grid interval, at the default grids of beta = 0, 1 and 2 (n = 160,000,
   40,752 and 40,000, at eta = 0.1 + 0.01i) and at the largest grid of the
   `quasimode-profiles` workload (beta = 0, m = 4096 at the residual-sweep
-  mesh: 4.72M points, at the matched eta). Each case also prints F(0),
-  dF(0)/deta and the sha256 of F, so two checkouts compare bit for bit,
-  and at the default grids the relative F(0) error against backward
-  DOP853 shooting (`cap.boundary_value_by_shooting`). The same is timed
-  and printed for one `boundary_value` call (the extrapolated coarse pair
-  the eigenvalue matching reads) at beta = 0, 1 and 2. The four builds of the
+  mesh: L and n recorded from the build, at the matched eta). Each case
+  also prints F(0), dF(0)/deta and the sha256 of F, so two checkouts
+  compare bit for bit, and at the default grids the relative F(0) error
+  against backward DOP853 shooting (`cap.boundary_value_by_shooting`).
+  The same is timed and printed for one `boundary_value` call (the
+  extrapolated coarse pair the eigenvalue matching reads) at beta = 0, 1
+  and 2. The four builds of the
   `quasimode-profiles` workload (beta = 0, m = 2048 and 4096 at dx = 4e-5;
   beta = 2, m = 512 and 1024 at dx = 1e-5, roots by continuation from a
-  cold start at the first m) are timed, best of 3, with one sha256 per
+  cold start at the first m) are timed, best of 3, with the `L` and
+  `points` (the n) of each build's half-line solve and one sha256 per
   build over `x`, `w`, `u`, `v`, `dv`, `d2v`, `y_cap`, `F_cap` and the
   floats `norm`, `residual`, `inner_residual` and `tail` (reading `y_cap`
   makes the deferred re-evaluation solve, after the timing). Cold start:
@@ -109,7 +111,7 @@ def measure_kernel(src):
 
     cap.boundary_pair = recording_pair
     try:
-        builds = measure_builds()
+        builds = measure_builds(calls)
     finally:
         cap.boundary_pair = pair
     beta, m = PROFILE_CASE
@@ -141,8 +143,10 @@ def measure_kernel(src):
     return out
 
 
-def measure_builds():
-    """Best-of-3 time and content hash of the quasimode-profiles builds."""
+def measure_builds(calls):
+    """Best-of-3 time, half-line grid and content hash of the
+    quasimode-profiles builds; calls is the list a recording wrapper of
+    `cap.boundary_pair` appends each call's arguments to."""
     from stripdamp import quasimode, verify
 
     out = {}
@@ -152,13 +156,14 @@ def measure_builds():
         for m, sol in verify.mode_branch(beta, m_list[modes]):
             qm, best = best_of_3(quasimode.build_quasimode, sol, cfg.profile, cfg.cutoff,
                                  cap_dx=mesh)
+            _, _, L, n = calls[-1]   # the build's solve; reading y_cap below makes another
             digest = hashlib.sha256()
             for name in QUASIMODE_ARRAYS:
                 digest.update(getattr(qm, name).tobytes())
             digest.update(repr([getattr(qm, name) for name in QUASIMODE_FLOATS]).encode())
             out[f"beta={beta:g} m={m} build_quasimode"] = {
-                "cap_dx": mesh, "nodes": int(qm.x.size), "s": round(best, 3),
-                "residual": qm.residual, "sha256": digest.hexdigest()}
+                "cap_dx": mesh, "L": L, "points": n, "nodes": int(qm.x.size),
+                "s": round(best, 3), "residual": qm.residual, "sha256": digest.hexdigest()}
     return out
 
 
