@@ -60,7 +60,11 @@ class NeumannGround:
     value: float
     L: float
     n: int
-    essential: bool = False   # beta = 0: infimum of essential spectrum, not an eigenvalue
+
+    @property
+    def essential(self) -> bool:
+        """beta = 0: the value is the infimum of the essential spectrum, not an eigenvalue."""
+        return self.beta == 0
 
     @property
     def admissible_radius(self) -> float:
@@ -80,7 +84,7 @@ def neumann_ground(beta: float) -> NeumannGround:
     L, n = 12.0, 20000
     if beta == 0:
         # operator is -d^2/dx^2 + 1: spectrum [1, inf), no discrete eigenvalue
-        return NeumannGround(beta=0.0, value=1.0, L=L, n=n, essential=True)
+        return NeumannGround(beta=0.0, value=1.0, L=L, n=n)
     dx = L / n
     x = np.linspace(0.0, L, n + 1)[:-1]
     diag = 2.0 / dx**2 + x**beta
@@ -106,21 +110,17 @@ def check_eta_admissible(eta: complex, ground: NeumannGround) -> bool:
 
 @dataclass(frozen=True)
 class CapSolution:
-    """Sampled decaying half-line solution with F'(0) = 1."""
+    """Sampled decaying half-line solution with F'(0) = 1.
 
-    eta: complex
-    beta: float
+    The grid is the one solve_cap chose from beta: x[-1] is the cut L and
+    x[1] its spacing.
+    """
+
     x: np.ndarray               # uniform grid on [0, L]
     values: np.ndarray          # F on x
     boundary_value: complex     # F(0)
-    L: float
-    n: int
     tail_ratio: float           # |F(L)| / max|F|
     identity_residual: float    # relative defect of the integrated identity
-
-    @property
-    def dx(self) -> float:
-        return self.L / self.n
 
 
 def boundary_pair(eta, beta, L, n):
@@ -173,15 +173,16 @@ def boundary_pair(eta, beta, L, n):
     return F[0], dF0, F
 
 
-def boundary_value(eta, beta, L):
+def boundary_value(eta, beta):
     """(F(0), dF(0)/d eta) extrapolated from two coarse grids on [0, L].
 
-    P(n) = boundary_pair on n = round(L / 8e-3) intervals and P(2n) on twice
-    as many. The cell-averaged scheme's leading error is c dx^2, which
-    (4 P(2n) - P(n)) / 3 removes (for beta < 1 a weaker term leaves about
-    1e-8), while the rounding noise of coarse factorizations (eps / dx^2)
-    stays near 1e-12.
+    L is default_truncation(beta). P(n) = boundary_pair on n = round(L / 8e-3)
+    intervals and P(2n) on twice as many. The cell-averaged scheme's leading
+    error is c dx^2, which (4 P(2n) - P(n)) / 3 removes (for beta < 1 a
+    weaker term leaves about 1e-8), while the rounding noise of coarse
+    factorizations (eps / dx^2) stays near 1e-12.
     """
+    L = default_truncation(beta)
     n = int(round(L / _MATCH_DX))
     f_c, df_c, _ = boundary_pair(eta, beta, L, n)
     f_f, df_f, _ = boundary_pair(eta, beta, L, 2 * n)
@@ -226,13 +227,9 @@ def solve_cap(eta: complex, beta: float) -> CapSolution:
     scale = abs(f0) + i1 + i2 + abs(eta) * i3
     identity_residual = float(abs(defect) / scale)
     return CapSolution(
-        eta=complex(eta),
-        beta=float(beta),
         x=x,
         values=F,
         boundary_value=complex(f0),
-        L=float(L),
-        n=int(n),
         tail_ratio=tail_ratio,
         identity_residual=identity_residual,
     )

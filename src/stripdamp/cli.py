@@ -212,7 +212,7 @@ def cmd_fit(args):
     if not np.all(np.diff(data[args.t_col]) > 0):
         raise StripDampError(f"{args.input}: column {args.t_col!r} is not strictly increasing; "
                              "a file with one trace per m must be split, one file per trace")
-    trace = evolve.EnergyTrace(data[args.t_col], data[args.e_col], m=0)
+    trace = evolve.EnergyTrace(data[args.t_col], data[args.e_col])
     rate = evolve.fit_decay(trace)
     summary = {
         "alpha_hat": rate.exponent,

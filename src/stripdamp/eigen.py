@@ -71,15 +71,14 @@ def left_solution(x, lam: complex, h: float, a: float):
 
 @dataclass(frozen=True)
 class EigenContext:
-    """Per-(beta, a, l) data reused across h: ground level, A1 and the cut L."""
+    """Per-(beta, a, l) data reused across h: F0, A1 and the cut L."""
 
     beta: float
     a: float
     l: float
-    lambda1: float        # Neumann ground level
     F0: complex           # boundary value at eta = 0
     A1: complex           # pi l F0 / a^2
-    cap_L: float
+    cap_L: float          # default_truncation(beta), the cut of boundary_value
 
     @property
     def K_bound(self) -> float:
@@ -102,13 +101,11 @@ def build_context(
         raise ValueError(f"only the Dirichlet condition is supported (got {bc!r})")
     if abs(l - round(l)) > 1e-12:
         raise ValueError(f"Dirichlet requires integer l (got {l})")
-    ground = cap.neumann_ground(beta)
-    L = cap.default_truncation(beta)
-    f0, _ = cap.boundary_value(0.0, beta, L)
+    f0, _ = cap.boundary_value(0.0, beta)
     A1 = np.pi * l * f0 / a**2
     return EigenContext(
-        beta=beta, a=a, l=l, lambda1=ground.value, F0=complex(f0),
-        A1=complex(A1), cap_L=L,
+        beta=beta, a=a, l=l, F0=complex(f0), A1=complex(A1),
+        cap_L=cap.default_truncation(beta),
     )
 
 
@@ -135,12 +132,13 @@ def compatibility_value(mu: complex, h: float, ctx: EigenContext):
     eps = h**eps_pow
     lam = np.pi * l * h / a + C * h**lam_pow
     eta = _eta_of(lam, h, beta)
-    if not cap.check_eta_admissible(eta, cap.neumann_ground(beta)):
+    ground = cap.neumann_ground(beta)
+    if not cap.check_eta_admissible(eta, ground):
         raise AdmissibilityError(
-            f"induced |eta| = {abs(eta):.4f} exceeds {0.5 * ctx.lambda1:.4f}; "
+            f"induced |eta| = {abs(eta):.4f} exceeds {ground.admissible_radius:.4f}; "
             "reduce h"
         )
-    f0, df0 = cap.boundary_value(eta, beta, ctx.cap_L)
+    f0, df0 = cap.boundary_value(eta, beta)
     z = 2j * a * C * eps
     E = np.exp(-z)
     one_minus_E = -np.expm1(-z)        # 1 - E without cancellation
@@ -158,7 +156,7 @@ def compatibility_value(mu: complex, h: float, ctx: EigenContext):
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """One matched eigenvalue of the half-line problem."""
+    """One matched eigenvalue of the half-line problem; F0 and A1 are its context's."""
 
     beta: float
     a: float
@@ -168,10 +166,6 @@ class EigenSolution:
     C_h: complex          # A1 + mu
     lambda_h: complex     # pi l h / a + C_h h^((beta+4)/(beta+2))
     eta: complex          # lambda^2 / h^(2 beta / (beta+2))
-    F0: complex           # boundary value at eta = 0
-    A1: complex
-    f0_at_root: complex   # boundary value at the matched eta
-    B: complex            # gluing constant, left value / right value at a
     newton_residual: float
     glue_residual: float  # relative defect of the slope matching
     iterations: int       # evaluations of G
@@ -241,8 +235,7 @@ def find_eigenvalue(
     glue = abs(dv_la - B / eps) / max(abs(v_la), abs(dv_la))
     C_h = ctx.A1 + mu
     return EigenSolution(
-        beta=ctx.beta, a=ctx.a, l=l, h=h, mu=mu, C_h=C_h,
-        lambda_h=lam, eta=eta, F0=ctx.F0, A1=ctx.A1, f0_at_root=f0, B=B,
+        beta=ctx.beta, a=ctx.a, l=l, h=h, mu=mu, C_h=C_h, lambda_h=lam, eta=eta,
         newton_residual=residual, glue_residual=float(glue), iterations=it,
         newton_stop=stop,
     )
@@ -304,7 +297,7 @@ def raw_compatibility_root(l: float, h: float, ctx: EigenContext):
             raise AdmissibilityError(
                 f"secant wandered to |eta| = {abs(eta):.3f}; shrink h"
             )
-        f0, _ = cap.boundary_value(eta, beta, ctx.cap_L)
+        f0, _ = cap.boundary_value(eta, beta)
         ref = reflection_coeff(lam, h, a)
         v_la = 1.0 + ref
         dv_la = (1j * lam / h) * (1.0 - ref)

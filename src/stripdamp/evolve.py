@@ -52,13 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WaveState:
-    """Displacement and velocity samples on the interior grid of (-b, b)."""
+    """Displacement and velocity samples of mode m on the interior grid of (-b, b)."""
 
     u: np.ndarray
     v: np.ndarray
     m: int
     b: float
-    t: float = 0.0
 
     @property
     def n(self) -> int:
@@ -75,9 +74,10 @@ class WaveState:
 
 @dataclass(frozen=True)
 class EnergyTrace:
+    """Energies of one run at its sample times; an evolve run starts at t = 0."""
+
     times: np.ndarray
     energies: np.ndarray
-    m: int
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def discrete_energy(state: WaveState) -> float:
 def quasimode_state(qm, n: int) -> WaveState:
     """Initial data (u, i q u) resampling a stored quasimode on n points."""
     u = qm.evaluate(StripGrid(qm.b, n).x)
-    return WaveState(u=u, v=1j * qm.q * u, m=qm.m, b=qm.b, t=0.0)
+    return WaveState(u=u, v=1j * qm.q * u, m=qm.m, b=qm.b)
 
 
 def evolve(
@@ -118,7 +118,8 @@ def evolve(
     stride: int = 1,
     store_states: bool = False,
 ):
-    """Implicit midpoint evolution; returns an EnergyTrace (and states if asked).
+    """Implicit midpoint evolution from t = 0; returns an EnergyTrace sampled
+    at t = k dt (and states if asked).
 
     dt must resolve the fastest retained oscillation; an energy increase
     beyond 1e-9 (relative, per sample) raises InstabilityError since the
@@ -162,9 +163,8 @@ def evolve(
     p[:, 0], p[:, 1] = initial.v.real, initial.v.imag
     p *= 2.0 * alpha
     steps = int(round(T / dt))
-    times = [initial.t]
-    state = WaveState(u=initial.u.astype(complex), v=initial.v.astype(complex),
-                      m=m, b=b, t=initial.t)
+    times = [0.0]
+    state = WaveState(u=initial.u.astype(complex), v=initial.v.astype(complex), m=m, b=b)
     energies = [discrete_energy(state)]
     states = [state] if store_states else None
     e_prev = energies[0]
@@ -178,10 +178,10 @@ def evolve(
         np.subtract(u, p, out=p)    # p = 2 (u' - u) - p
         u, y = y, u
         if k % stride == 0 or k == steps:
-            t = initial.t + k * dt
+            t = k * dt
             state = WaveState(u=u[:, 0] + 1j * u[:, 1],
                               v=(p[:, 0] + 1j * p[:, 1]) / (2.0 * alpha),
-                              m=m, b=b, t=t)
+                              m=m, b=b)
             e = discrete_energy(state)
             if e > e_prev * (1.0 + 1e-9):
                 w_min = float(W.min())
@@ -196,7 +196,7 @@ def evolve(
             energies.append(e)
             if store_states:
                 states.append(state)
-    trace = EnergyTrace(np.asarray(times), np.asarray(energies), m)
+    trace = EnergyTrace(np.asarray(times), np.asarray(energies))
     return (trace, states) if store_states else trace
 
 

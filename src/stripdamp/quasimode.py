@@ -1,9 +1,10 @@
 """Assembly of one-dimensional quasimodes on (-b, b).
 
-A matched eigen solution provides the frequency lambda and gluing constant;
-the profile on [0, b] is the closed-form oscillatory part on (0, a) glued at
-a to the rescaled half-line solution, multiplied by the plateau cutoff and
-extended to negative x as an odd function (the condition at 0 is Dirichlet).
+A matched eigen solution provides the frequency lambda and the spectral
+parameter eta; the profile on [0, b] is the closed-form oscillatory part v
+on (0, a) glued at a, by the constant v(a) / F(0), to the rescaled
+half-line solution F, multiplied by the plateau cutoff and extended to
+negative x as an odd function (the condition at 0 is Dirichlet).
 The pair (q, m) comes from
 
     q = 1/h^2 + lambda^2 / 2,      m = b / (2 pi h^2)  (an integer),
@@ -91,6 +92,14 @@ def _bracket(yq, L, n):
     return j
 
 
+def _glued_factor(eig: EigenSolution, L: float, n: int):
+    """(F, B): the half-line factor on n intervals of [0, L] at the matched
+    eta, and the constant v(a) / F(0) that glues it to the left solution."""
+    _, _, F = cap.boundary_pair(eig.eta, eig.beta, L, n)
+    v_at_a, _ = left_solution(np.array([eig.a]), eig.lambda_h, eig.h, eig.a)
+    return F, complex(v_at_a[0]) / F[0]
+
+
 @dataclass(frozen=True)
 class Quasimode:
     """Sampled quasimode with the data needed to re-evaluate it anywhere."""
@@ -135,13 +144,12 @@ class Quasimode:
         Made on first use, since most builds are never re-evaluated, and
         glued against its own F(0) so the reconstruction is continuous at a.
         """
-        eig, L = self.eig, self.L
+        L = self.L
         n_eval = max(2000, int(round(L / 5e-4)))
-        _, _, F_eval = cap.boundary_pair(eig.eta, eig.beta, L, n_eval)
+        F_eval, B = _glued_factor(self.eig, L, n_eval)
         stride = max(1, int(round(1e-3 * n_eval / L)))
         y = np.linspace(0.0, L, n_eval + 1)[::stride].copy()
-        v_at_a, _ = left_solution(np.array([eig.a]), eig.lambda_h, self.h, eig.a)
-        return y, F_eval[::stride].copy(), complex(v_at_a[0]) / F_eval[0]
+        return y, F_eval[::stride].copy(), B
 
     @property
     def y_cap(self) -> np.ndarray:
@@ -221,7 +229,9 @@ def build_quasimode(
     y_needed = (b - cutoff.delta - a) / s
     L = min(max(cap.default_truncation(beta), 1.02 * y_needed), _wkb_y_limit(beta))
     nF = max(2000, int(round(L / cap_dx)))
-    _, _, F = cap.boundary_pair(eig.eta, beta, L, nF)
+    # glue against this solve's own boundary value so the reconstruction is
+    # continuous to rounding
+    F, B_fine = _glued_factor(eig, L, nF)
     dy = L / nF
 
     # quadrature panels never straddle the kinks of W, the gluing point or
@@ -250,10 +260,6 @@ def build_quasimode(
     v[left] = vl
     dv[left] = dvl
     d2v[left] = -(lam * lam / h2) * vl
-    # glue against this solve's own boundary value so the reconstruction is
-    # continuous to rounding (the matched B of eig came from a different grid)
-    v_at_a, _ = left_solution(np.array([a]), lam, h, a)
-    B_fine = complex(v_at_a[0]) / F[0]
     yq = (X[~left] - a) / s
     # linear interpolation reads only the two grid points bracketing a node,
     # so the factor is differenced at those points alone; each bracket is a

@@ -72,8 +72,6 @@ class ReducedOperator:
 
     diag: np.ndarray
     grid: StripGrid
-    q: float
-    m: int
 
 
 def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOperator:
@@ -87,7 +85,7 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOpera
         )
     grid = StripGrid(b, int(n))
     diag = 2.0 / grid.dx**2 + 1j * q * grid.damping(profile) + (transverse_shift(m, b) - q * q)
-    return ReducedOperator(diag=diag, grid=grid, q=float(q), m=int(m))
+    return ReducedOperator(diag=diag, grid=grid)
 
 
 # Lanczos basis size of the sigma_min iteration. ARPACK fills the whole basis

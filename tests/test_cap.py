@@ -83,12 +83,12 @@ class TestBoundaryValue:
         assert abs(sol.boundary_value - exact) / abs(exact) < 1e-6
 
     def test_extrapolated_airy_oracle(self):
-        f0, _ = cap.boundary_value(0.0, 1.0, cap.default_truncation(1.0))
+        f0, _ = cap.boundary_value(0.0, 1.0)
         assert abs(f0 - AIRY_F0) / abs(AIRY_F0) < 1e-9
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.2 + 0.3j, -0.1 - 0.35j])
     def test_extrapolated_beta0_closed_form(self, eta):
-        f0, _ = cap.boundary_value(eta, 0.0, cap.default_truncation(0.0))
+        f0, _ = cap.boundary_value(eta, 0.0)
         exact = cap.boundary_value_closed_form_beta0(eta)
         assert abs(f0 - exact) / abs(exact) < 1e-9
 
@@ -96,17 +96,16 @@ class TestBoundaryValue:
     def test_extrapolated_matches_shooting_below_beta_one(self, beta):
         # x^beta has no bounded derivative at 0 here; point sampling it is
         # first order, the cell average is not
-        L = cap.default_truncation(beta)
         for eta in (0.0, 0.1 + 0.05j, -0.1 - 0.2j):
-            f0, _ = cap.boundary_value(eta, beta, L)
+            f0, _ = cap.boundary_value(eta, beta)
             shot = cap.boundary_value_by_shooting(eta, beta)
             assert abs(f0 - shot) / abs(shot) < 1e-7
 
     def test_extrapolated_derivative_matches_difference(self):
-        eta, L, d = 0.1 + 0.05j, cap.default_truncation(2.0), 1e-3
-        _, df0 = cap.boundary_value(eta, 2.0, L)
-        fd = (cap.boundary_value(eta + d, 2.0, L)[0]
-              - cap.boundary_value(eta - d, 2.0, L)[0]) / (2 * d)
+        eta, d = 0.1 + 0.05j, 1e-3
+        _, df0 = cap.boundary_value(eta, 2.0)
+        fd = (cap.boundary_value(eta + d, 2.0)[0]
+              - cap.boundary_value(eta - d, 2.0)[0]) / (2 * d)
         assert abs(df0 - fd) / abs(fd) < 1e-5
 
     def test_truncation_stability(self):
@@ -130,7 +129,7 @@ class TestBoundaryValue:
 
     def test_slope_normalization(self):
         sol = cap.solve_cap(0.0, 1.0)
-        dx = sol.dx
+        dx = sol.x[1]
         one_sided = (
             -25 * sol.values[0] + 48 * sol.values[1] - 36 * sol.values[2]
             + 16 * sol.values[3] - 3 * sol.values[4]

@@ -89,6 +89,11 @@ class TestCompatibilityFunction:
         with pytest.raises(AdmissibilityError):
             eigen.compatibility_value(0.0, 0.5, ctx1)
 
+    def test_inadmissible_error_prints_the_admissible_radius(self, ctx1):
+        radius = cap.neumann_ground(ctx1.beta).admissible_radius
+        with pytest.raises(AdmissibilityError, match=rf"exceeds {radius:.4f}; reduce h"):
+            eigen.compatibility_value(0.0, 0.5, ctx1)
+
 
 class TestFindEigenvalue:
     def test_fixed_point_and_bounds(self, ctx1):

@@ -67,6 +67,15 @@ class TestScheme:
         state = evolve.WaveState(u=u, v=v, m=m, b=b)
         assert evolve.discrete_energy(state) == pytest.approx(expected, rel=1e-13)
 
+    def test_times_are_k_dt_from_zero(self):
+        # every run starts at t = 0 and samples every stride-th step and the last
+        dt, stride = 1e-3, 7
+        trace = evolve.evolve(bump_state(200), UniformDamping(0.0, 3.0), dt=dt, T=0.05,
+                              stride=stride)
+        ks = list(range(0, 50, stride)) + [50]
+        assert np.array_equal(trace.times, np.array([k * dt for k in ks]))
+        assert trace.times[0] == 0.0
+
     def test_energy_conserved_without_damping(self):
         state = bump_state(800)
         trace = evolve.evolve(state, UniformDamping(0.0, 3.0), dt=2e-3, T=30.0,
@@ -171,7 +180,7 @@ class TestRateFit:
     def synthetic_trace(self, f):
         t = np.geomspace(0.5, 200.0, 400)
         t = np.concatenate([[1e-3], t])
-        return evolve.EnergyTrace(t, f(t), m=0)
+        return evolve.EnergyTrace(t, f(t))
 
     def test_exact_power_law(self):
         trace = self.synthetic_trace(lambda t: 2.0 * t ** (-4.0 / 3.0))
@@ -193,7 +202,7 @@ class TestRateFit:
 
     def test_narrow_window_rejected(self):
         t = np.linspace(50.0, 100.0, 60)
-        trace = evolve.EnergyTrace(t, t**-1.0, m=0)
+        trace = evolve.EnergyTrace(t, t**-1.0)
         with pytest.raises(ValueError):
             evolve.fit_decay(trace)
 
@@ -231,7 +240,7 @@ class TestDecayBand:
         for tr in traces:
             total += np.interp(tgrid, tr.times, tr.energies)
         fit = evolve.fit_decay(
-            evolve.EnergyTrace(tgrid, total, m=0)
+            evolve.EnergyTrace(tgrid, total)
         )
         alpha = fit.exponent if fit.exponent is not None else -0.5 * fit.fit.slope
         lo = (beta + 2) / (beta + 4) - 0.15

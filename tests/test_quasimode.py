@@ -93,12 +93,6 @@ def qm1(profile1, cutoff):
 
 
 class TestAssembly:
-    def test_glue_continuity(self, qm1):
-        eig = qm1.eig
-        vl, _ = eigen.left_solution(eig.a, eig.lambda_h, qm1.h, eig.a)
-        vr = eig.B * eig.f0_at_root
-        assert abs(vl - vr) < 1e-10 * max(1.0, abs(vl))
-
     def test_profile_continuous_across_a(self, qm1):
         eps = 1e-9
         left = qm1.evaluate(np.array([qm1.eig.a - eps]))[0]

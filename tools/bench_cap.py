@@ -44,6 +44,7 @@ the kernel figures of one checkout.
 """
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -131,9 +132,13 @@ def measure_kernel(src):
                       "F_sha256": hashlib.sha256(F.tobytes()).hexdigest()}
         if eta == DEFAULT_GRID_ETA:
             out[label]["F0_err_vs_shooting"] = error(f0, beta)
+    # boundary_value reads its cut from default_truncation; a checkout from
+    # before that takes the cut as a third argument
+    pass_L = "L" in inspect.signature(cap.boundary_value).parameters
     for beta in verify.BETAS:
         L = cap.default_truncation(beta)
-        (f0, df0), best = best_of_3(cap.boundary_value, DEFAULT_GRID_ETA, beta, L)
+        args = (DEFAULT_GRID_ETA, beta, L) if pass_L else (DEFAULT_GRID_ETA, beta)
+        (f0, df0), best = best_of_3(cap.boundary_value, *args)
         out[f"beta={beta:g} boundary_value"] = {
             "eta": repr(DEFAULT_GRID_ETA), "L": L, "ms": round(best * 1e3, 3),
             "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
