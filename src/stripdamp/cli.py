@@ -141,8 +141,8 @@ def cmd_eigen_sweep(args):
 
 
 def cmd_quasimode_sweep(args):
-    m_list, cap_dx = verify.RESIDUAL_SWEEP[args.beta]
-    qms = verify.quasimode_sweep(args.beta, _branches(args, m_list), cap_dx)
+    m_list = verify.RESIDUAL_SWEEP[args.beta][0]
+    qms = verify.quasimode_sweep(args.beta, _branches(args, m_list))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_profiles:

@@ -22,13 +22,16 @@ reaches 0 (sooner only where _wkb_y_limit caps it, past which the factor
 has underflowed), and is read as 0 beyond it. Its first derivative is a
 fourth-order difference at the grid points bracketing a quadrature node,
 computed from their indices rather than from a stored grid; its second
-comes from the equation it solves, and the oscillatory part and the cutoff
-are differentiated analytically.
+is the equation it solves, applied at the node to the interpolated factor,
+so the residual's large terms cancel at every node and not only at grid
+points. The oscillatory part and the cutoff are differentiated
+analytically.
 
-Quasimode.evaluate re-evaluates a build anywhere from a cubic spline of a
-coarser companion solve. That solve, and the import of scipy.interpolate,
-happen on the first evaluate of a build, not in build_quasimode: most
-builds only measure their residual and are never re-evaluated.
+Quasimode.evaluate re-evaluates a build anywhere from a cubic spline of the
+build's own glued factor, kept at every few grid points. The spline, and
+the import of scipy.interpolate, are made on the first evaluate of a build,
+not in build_quasimode: most builds only measure their residual and are
+never re-evaluated.
 """
 
 from __future__ import annotations
@@ -70,7 +73,15 @@ def ansatz_params(eig: EigenSolution, b: float):
 
 
 def _wkb_y_limit(beta: float) -> float:
-    """y beyond which the half-line solution underflows (WKB decay exponent 600)."""
+    """y beyond which the half-line solution underflows (WKB decay exponent 600).
+
+    It ends the grid of no pinned build (RESIDUAL_SWEEP, TAIL_SWEEP,
+    EVOLVE_MODES). There 1.02 y_needed does, except where
+    cap.default_truncation(beta) is longer: at m <= 256 for beta = 0,
+    m = 64 for beta = 1 and m = 512 for beta = 2. The deepest pinned grids
+    end at y = 151, 42.1 and 22.2 against caps of 849, 117 and 41.2; in the
+    default geometry the cap binds only from m = 1.3e5, 1.8e5 and 1.9e5.
+    """
     c = math.cos(math.pi / 4.0) * 2.0 / (beta + 2.0)
     return (600.0 / c) ** (2.0 / (beta + 2.0))
 
@@ -90,14 +101,6 @@ def _bracket(yq, L, n):
     j[(j < n) & (_grid_points(j + 1, L, n) <= yq)] += 1
     j[(j >= 0) & (_grid_points(j, L, n) > yq)] -= 1
     return j
-
-
-def _glued_factor(eig: EigenSolution, L: float, n: int):
-    """(F, B): the half-line factor on n intervals of [0, L] at the matched
-    eta, and the constant v(a) / F(0) that glues it to the left solution."""
-    _, _, F = cap.boundary_pair(eig.eta, eig.beta, L, n)
-    v_at_a, _ = left_solution(np.array([eig.a]), eig.lambda_h, eig.h, eig.a)
-    return F, complex(v_at_a[0]) / F[0]
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,10 @@ class Quasimode:
     phi: np.ndarray
     dphi: np.ndarray
     d2phi: np.ndarray
-    L: float                # truncation of the half-line factor's grid
+    # the glued factor v = B F at every stride-th point y of its grid, which
+    # evaluate splines
+    y_cap: np.ndarray
+    v_cap: np.ndarray
     # measured quantities
     norm: float             # L2 norm of u on (0, b)
     residual: float         # relative residual of the reduced operator
@@ -134,40 +140,10 @@ class Quasimode:
         return self.eig.lambda_h
 
     @functools.cached_property
-    def _eval_factor(self):
-        """(y, F, B): the decimated half-line factor behind evaluate, with its
-        gluing constant.
-
-        A companion solve at spacing 5e-4, coarser than the build's: the
-        linear-solver rounding noise scales like 1/dy^2, and it is that noise
-        a downstream finite difference of the reconstruction would amplify.
-        Made on first use, since most builds are never re-evaluated, and
-        glued against its own F(0) so the reconstruction is continuous at a.
-        """
-        L = self.L
-        n_eval = max(2000, int(round(L / 5e-4)))
-        F_eval, B = _glued_factor(self.eig, L, n_eval)
-        stride = max(1, int(round(1e-3 * n_eval / L)))
-        y = np.linspace(0.0, L, n_eval + 1)[::stride].copy()
-        return y, F_eval[::stride].copy(), B
-
-    @property
-    def y_cap(self) -> np.ndarray:
-        return self._eval_factor[0]
-
-    @property
-    def F_cap(self) -> np.ndarray:
-        return self._eval_factor[1]
-
-    @property
-    def B_eval(self) -> complex:
-        return self._eval_factor[2]
-
-    @functools.cached_property
     def _spline(self):
         from scipy.interpolate import CubicSpline
 
-        return CubicSpline(self.y_cap, self.F_cap)
+        return CubicSpline(self.y_cap, self.v_cap)
 
     def evaluate(self, x):
         """Profile on arbitrary points of (-b, b), odd extension included.
@@ -189,7 +165,7 @@ class Quasimode:
         yq = (ax[~left] - eig.a) / self.s
         vals = self._spline(yq)
         vals[yq > self.y_cap[-1]] = 0.0
-        out[~left] = self.B_eval * vals
+        out[~left] = vals
         cut = CutoffFunction(b=self.b, delta=self.delta)
         return sign * cut.value(ax) * out
 
@@ -199,17 +175,20 @@ def build_quasimode(
     profile: DampingProfile,
     cutoff: CutoffFunction,
     *,
-    cap_dx: float = 5e-5,
+    cap_dx: float = cap._DEFAULT_DX,
 ) -> Quasimode:
     """Glue, cut off and extend one matched eigen solution; measure it.
 
     Preconditions: h < sigma^(beta/2) (the tail estimate needs it) and the
     geometry of eig must match the profile.
 
-    The decaying factor's second derivative substitutes the equation it
-    solves, exact given the samples. Fourth-order differences would amplify
-    the linear-solver rounding noise by the squared rescaling and floor the
-    measurable residual once frequencies get large.
+    One half-line solve, at spacing cap_dx, serves the build's measurements
+    and evaluate. At each quadrature node the decaying factor's second
+    derivative is the equation it solves applied to its interpolated value,
+    so the residual hardly depends on cap_dx (only the benchmark sets it).
+    Fourth-order differences would amplify the linear-solver rounding noise
+    by the squared rescaling and floor the measurable residual once
+    frequencies get large.
     """
     beta, a, h = eig.beta, eig.a, eig.h
     sigma, b = profile.sigma, profile.b
@@ -229,10 +208,17 @@ def build_quasimode(
     y_needed = (b - cutoff.delta - a) / s
     L = min(max(cap.default_truncation(beta), 1.02 * y_needed), _wkb_y_limit(beta))
     nF = max(2000, int(round(L / cap_dx)))
-    # glue against this solve's own boundary value so the reconstruction is
-    # continuous to rounding
-    F, B_fine = _glued_factor(eig, L, nF)
+    _, _, F = cap.boundary_pair(eig.eta, beta, L, nF)
     dy = L / nF
+    # glue against this solve's own boundary value so the profile is
+    # continuous at a to rounding
+    v_at_a, _ = left_solution(np.array([a]), lam, h, a)
+    B = complex(v_at_a[0]) / F[0]
+    # evaluate splines every stride-th point, about 1e-3 apart: derivatives
+    # of the spline amplify the solve's rounding noise by the inverse square
+    # of the sample spacing, not of dy
+    i_cap = np.arange(0, nF + 1, max(1, int(round(1e-3 * nF / L))))
+    y_cap, v_cap = _grid_points(i_cap, L, nF), B * F[i_cap]
 
     # quadrature panels never straddle the kinks of W, the gluing point or
     # the cutoff transition
@@ -269,10 +255,12 @@ def build_quasimode(
     K = np.unique(np.clip(np.concatenate([j, j + 1]), 0, nF))
     yK, FK = _grid_points(K, L, nF), F[K]
     F1 = fd_derivative_at(F, dy, K, 1)
-    F2 = (1j * yK**beta - eig.eta) * FK
-    v[~left] = B_fine * complex_interp(yq, yK, FK)
-    dv[~left] = B_fine * complex_interp(yq, yK, F1) / s
-    d2v[~left] = B_fine * complex_interp(yq, yK, F2) / s**2
+    v[~left] = B * complex_interp(yq, yK, FK)
+    dv[~left] = B * complex_interp(yq, yK, F1) / s
+    # the equation F solves, substituted at the node: interpolating it from
+    # the grid points instead would leave an O(dy^2) / s^2 mismatch with v
+    # that the residual's large terms do not cancel
+    d2v[~left] = (1j * yq**beta - eig.eta) * v[~left] / s**2
 
     phi = cutoff.value(X)
     dphi = cutoff.derivative(X, 1)
@@ -295,7 +283,7 @@ def build_quasimode(
     return Quasimode(
         eig=eig, m=m, q=q, h=h, h2=h2, s=s,
         b=b, delta=cutoff.delta, x=X, w=W, u=u, v=v, dv=dv, d2v=d2v,
-        phi=phi, dphi=dphi, d2phi=d2phi, L=L,
+        phi=phi, dphi=dphi, d2phi=d2phi, y_cap=y_cap, v_cap=v_cap,
         norm=math.sqrt(norm_sq), residual=residual,
         inner_residual=inner_residual, tail=tail,
     )

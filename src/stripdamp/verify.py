@@ -77,16 +77,18 @@ MODE_SWEEP_M = {
     2.0: tuple(524288 * 2**k for k in range(6)),
 }
 
-# quasimode sweeps: (m list, half-line mesh for the profile factor)
+# quasimode sweeps: m lists. The residual sweep keeps build_quasimode's
+# default half-line mesh beside its list only because the benchmark passes
+# that on as cap_dx
 RESIDUAL_SWEEP = {
-    0.0: (tuple(128 * 2**k for k in range(6)), 4.0e-5),
-    1.0: (tuple(256 * 2**k for k in range(6)), 2.0e-5),
-    2.0: (tuple(512 * 2**k for k in range(6)), 1.0e-5),
+    0.0: (tuple(128 * 2**k for k in range(6)), cap._DEFAULT_DX),
+    1.0: (tuple(256 * 2**k for k in range(6)), cap._DEFAULT_DX),
+    2.0: (tuple(512 * 2**k for k in range(6)), cap._DEFAULT_DX),
 }
 TAIL_SWEEP = {
-    0.0: (tuple(64 * 2**k for k in range(6)), 5.0e-5),
-    1.0: (tuple(64 * 2**k for k in range(6)), 5.0e-5),
-    2.0: (tuple(512 * 2**k for k in range(6)), 5.0e-5),
+    0.0: tuple(64 * 2**k for k in range(6)),
+    1.0: tuple(64 * 2**k for k in range(6)),
+    2.0: tuple(512 * 2**k for k in range(6)),
 }
 
 # resolvent peak branches: octave spacing over 1.5 decades of q, pushed deep
@@ -318,17 +320,17 @@ def check_frequency_placement(beta: float) -> StageReport:
 # ---------------------------------------------------------------------------
 # criteria 4 and 6: quasimode sweeps
 
-def quasimode_sweep(beta: float, m_list, cap_dx: float) -> list:
-    """Quasimodes along ascending m in the pinned geometry, at half-line mesh cap_dx."""
+def quasimode_sweep(beta: float, m_list) -> list:
+    """Quasimodes along ascending m in the pinned geometry."""
     cfg = default_config(beta)
-    return [quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=cap_dx)
+    return [quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
             for _, sol in mode_branch(beta, m_list)]
 
 
 @functools.lru_cache(maxsize=None)
 def quasimode_sweep_data(beta: float, which: str):
-    m_list, cap_dx = {"residual": RESIDUAL_SWEEP, "tail": TAIL_SWEEP}[which][beta]
-    return quasimode_sweep(beta, m_list, cap_dx)
+    m_list = {"residual": RESIDUAL_SWEEP[beta][0], "tail": TAIL_SWEEP[beta]}[which]
+    return quasimode_sweep(beta, m_list)
 
 
 def check_residual_scaling(beta: float) -> StageReport:

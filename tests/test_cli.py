@@ -58,7 +58,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("beta", ["0", "1", "2"])
     def test_quasimode_sweep_writes_what_verify_all_writes(self, tmp_path, beta):
-        # the sweep subcommand builds verify-all's residual sweep at its pinned mesh
+        # the sweep subcommand builds verify-all's residual sweep
         rc = cli.main(["--out-dir", str(tmp_path / "cli"), "quasimode-sweep", "--beta", beta])
         assert rc == 0
         gate = tmp_path / "gate.csv"

@@ -22,20 +22,22 @@ def _pointwise_residual(qm, profile):
 def _full_grid_profile(qm, F, L, nF, second_derivative):
     """(v, dv, d2v) on the nodes x >= a, from derivatives of the half-line
     factor F over its whole grid of nF intervals on [0, L], interpolated the
-    way build_quasimode did before it differenced only the bracketing points."""
+    way build_quasimode did before it differenced only the bracketing points.
+    The "equation" second derivative is the equation F solves at each node,
+    the "fd" one a full-grid difference interpolated to the nodes."""
     eig = qm.eig
     y = np.linspace(0.0, L, nF + 1)
     dy = L / nF
     F1 = fd_derivative(F, dy, order=1)
-    if second_derivative == "equation":
-        F2 = (1j * y**eig.beta - eig.eta) * F
-    else:
-        F2 = fd_derivative(F, dy, order=2)
     v_at_a, _ = eigen.left_solution(np.array([eig.a]), eig.lambda_h, qm.h, eig.a)
     B = complex(v_at_a[0]) / F[0]
     yq = (qm.x[qm.x >= eig.a] - eig.a) / qm.s
-    return (B * complex_interp(yq, y, F), B * complex_interp(yq, y, F1) / qm.s,
-            B * complex_interp(yq, y, F2) / qm.s**2)
+    v = B * complex_interp(yq, y, F)
+    if second_derivative == "equation":
+        d2v = (1j * yq**eig.beta - eig.eta) * v / qm.s**2
+    else:
+        d2v = B * complex_interp(yq, y, fd_derivative(F, dy, order=2)) / qm.s**2
+    return v, B * complex_interp(yq, y, F1) / qm.s, d2v
 
 
 def _recorded_solves(monkeypatch):
@@ -57,20 +59,17 @@ def _linspace_bracket(yq, L, n):
     return np.searchsorted(np.linspace(0.0, L, n + 1), yq, "right") - 1
 
 
-def _eager_evaluate(qm, x, L):
-    """Quasimode.evaluate as it was when build_quasimode made the companion
-    solve itself: a spline of the decimated spacing-5e-4 factor on [0, L],
-    glued at a against that solve's own F(0), rebuilt on every call."""
+def _spline_evaluate(qm, x, L, nF, F):
+    """Quasimode.evaluate from scratch: a cubic spline of every stride-th
+    point of the build's factor F on nF intervals of [0, L], glued at a by
+    v(a) / F(0)."""
     from scipy.interpolate import CubicSpline
 
     eig = qm.eig
-    n_eval = max(2000, int(round(L / 5e-4)))
-    _, _, F_eval = cap.boundary_pair(eig.eta, eig.beta, L, n_eval)
-    y_eval = np.linspace(0.0, L, n_eval + 1)
-    stride = max(1, int(round(1e-3 * n_eval / L)))
-    y_cap, F_cap = y_eval[::stride].copy(), F_eval[::stride].copy()
+    stride = max(1, int(round(1e-3 * nF / L)))
+    y = np.linspace(0.0, L, nF + 1)[::stride]
     v_at_a, _ = eigen.left_solution(np.array([eig.a]), eig.lambda_h, qm.h, eig.a)
-    B_eval = complex(v_at_a[0]) / F_eval[0]
+    B = complex(v_at_a[0]) / F[0]
 
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
@@ -78,9 +77,9 @@ def _eager_evaluate(qm, x, L):
     left = ax < eig.a
     out[left], _ = eigen.left_solution(ax[left], eig.lambda_h, qm.h, eig.a)
     yq = (ax[~left] - eig.a) / qm.s
-    vals = CubicSpline(y_cap, F_cap)(yq)
-    vals[yq > y_cap[-1]] = 0.0
-    out[~left] = B_eval * vals
+    vals = CubicSpline(y, B * F[::stride])(yq)
+    vals[yq > y[-1]] = 0.0
+    out[~left] = vals
     cut = CutoffFunction(b=qm.b, delta=qm.delta)
     return np.where(x < 0, -1.0, 1.0) * cut.value(ax) * out
 
@@ -121,9 +120,9 @@ class TestAssembly:
         # node gives the full-grid profile and measurements bit for bit
         sol = eigen.find_eigenvalue(1, select_h(256, 3.0), verify.context_for(1.0))
         solves = _recorded_solves(monkeypatch)
-        qm = quasimode.build_quasimode(sol, profile1, cutoff, cap_dx=2e-5)
+        qm = quasimode.build_quasimode(sol, profile1, cutoff)
         L, nF, F = solves[0]
-        assert nF == round(L / 2e-5)
+        assert nF == round(L / cap._DEFAULT_DX)
         right = qm.x >= sol.a
         v, dv, d2v = (np.array(f) for f in (qm.v, qm.dv, qm.d2v))
         v[right], dv[right], d2v[right] = _full_grid_profile(qm, F, L, nF, "equation")
@@ -150,10 +149,10 @@ class TestHalfLineGrid:
         cfg = verify.default_config(2.0)
         profile, cutoff = cfg.profile, cfg.cutoff
         a, b, delta = profile.a, profile.b, cutoff.delta
-        mesh = verify.RESIDUAL_SWEEP[2.0][1]
+        mesh = cap._DEFAULT_DX
         sol = eigen.find_eigenvalue(1, select_h(1024, b), verify.context_for(2.0))
         solves = _recorded_solves(monkeypatch)
-        qm = quasimode.build_quasimode(sol, profile, cutoff, cap_dx=mesh)
+        qm = quasimode.build_quasimode(sol, profile, cutoff)
         assert len(solves) == 1
         L, n, _ = solves[0]
 
@@ -166,7 +165,7 @@ class TestHalfLineGrid:
         # covering x = b would take a quarter more points
         L_b = min(max(cap.default_truncation(2.0), 1.02 * (b - a) / qm.s),
                   quasimode._wkb_y_limit(2.0))
-        assert (n, max(2000, int(round(L_b / mesh)))) == (1_110_605, 1_388_257)
+        assert (n, max(2000, int(round(L_b / mesh)))) == (44_424, 55_530)
 
         assert np.all(qm.u[qm.x >= b - delta] == 0.0)
         x = np.linspace(b - delta, b, 201)
@@ -194,11 +193,11 @@ class TestHalfLineGrid:
         # bracketing by arithmetic gives the build that reads the full
         # linspace grid, byte for byte
         cfg = verify.default_config(beta)
-        m_list, mesh = verify.RESIDUAL_SWEEP[beta]
+        m_list = verify.RESIDUAL_SWEEP[beta][0]
         sols = [sol for _, sol in verify.mode_branch(beta, m_list[:2])]
 
         def build(sol):
-            return quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff, cap_dx=mesh)
+            return quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
 
         built = [build(sol) for sol in sols]
         monkeypatch.setattr(quasimode, "_bracket", _linspace_bracket)
@@ -212,34 +211,26 @@ class TestHalfLineGrid:
                 assert getattr(qm, name) == getattr(ref, name)
 
 
-class TestDeferredEvaluation:
-    """The re-evaluation solve is made by the first evaluate, not the build."""
+class TestEvaluation:
+    """evaluate splines the build's own factor: it makes no half-line solve."""
 
     @pytest.mark.parametrize("beta", [0.0, 2.0])
-    def test_first_evaluate_solves_once_and_matches_eager_path(self, beta, monkeypatch):
+    def test_evaluate_makes_no_solve(self, beta, monkeypatch):
         cfg = verify.default_config(beta)
         m = verify.EVOLVE_MODES[beta][0]
         sol = eigen.find_eigenvalue(1, select_h(m, cfg.profile.b), verify.context_for(beta))
-        solves = []
-        pair = cap.boundary_pair
-
-        def recording_pair(eta, beta, L, n):
-            solves.append((L, n))
-            return pair(eta, beta, L, n)
-
-        monkeypatch.setattr(cap, "boundary_pair", recording_pair)
+        solves = _recorded_solves(monkeypatch)
         qm = quasimode.build_quasimode(sol, cfg.profile, cfg.cutoff)
         assert len(solves) == 1
         b = cfg.profile.b
         x = np.concatenate([np.linspace(-b, b, 4001), [sol.a - 1e-9, sol.a, sol.a + 1e-9]])
         u = qm.evaluate(x)
-        assert len(solves) == 2
         assert np.array_equal(qm.evaluate(x), u)
-        assert len(solves) == 2
+        assert len(solves) == 1
 
-        L = solves[0][0]
-        assert solves[1] == (L, max(2000, int(round(L / 5e-4))))
-        assert np.array_equal(u, _eager_evaluate(qm, x, L))
+        L, nF, F = solves[0]
+        assert qm.y_cap[1] == pytest.approx(1e-3, rel=0.01)
+        assert np.array_equal(u, _spline_evaluate(qm, x, L, nF, F))
 
 
 class TestAnsatz:
@@ -370,6 +361,16 @@ class TestSweeps:
         assert coeffs.max() <= 2.0 * coeffs.min()
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    def test_residual_does_not_depend_on_the_mesh(self, beta):
+        # at both ends of the sweep, a build at a fifth of the spacing gives
+        # the same residual: the equation is substituted at each node
+        cfg = verify.default_config(beta)
+        qms = verify.quasimode_sweep_data(beta, "residual")
+        for qm in (qms[0], qms[-1]):
+            fine = quasimode.build_quasimode(qm.eig, cfg.profile, cfg.cutoff, cap_dx=5e-5)
+            assert fine.residual == pytest.approx(qm.residual, rel=1e-5)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     def test_tail_checks(self, beta):
         rep = verify.check_tail_decay(beta)
         for c in rep.checks:
@@ -378,9 +379,8 @@ class TestSweeps:
 
 def test_tail_check_fails_when_no_tail_clears_the_floor(monkeypatch):
     # with no local slope to read, the check reports FAIL instead of raising
-    modes, mesh = verify.TAIL_SWEEP[1.0]
     qms = [dataclasses.replace(qm, tail=1e-300)
-           for qm in verify.quasimode_sweep(1.0, modes[:2], mesh)]
+           for qm in verify.quasimode_sweep(1.0, verify.TAIL_SWEEP[1.0][:2])]
     monkeypatch.setattr(verify, "quasimode_sweep_data", lambda beta, which: qms)
     check = verify.check_tail_decay(1.0).checks[0]
     assert check.name == "tail mass decays super-polynomially (beta=1)"

@@ -21,14 +21,16 @@ own `src`:
   against backward DOP853 shooting (`cap.boundary_value_by_shooting`).
   The same is timed and printed for one `boundary_value` call (the
   extrapolated coarse pair the eigenvalue matching reads) at beta = 0, 1
-  and 2. The four builds of the
-  `quasimode-profiles` workload (beta = 0, m = 2048 and 4096 at dx = 4e-5;
-  beta = 2, m = 512 and 1024 at dx = 1e-5, roots by continuation from a
-  cold start at the first m) are timed, best of 3, with the `L` and
-  `points` (the n) of each build's half-line solve and one sha256 per
-  build over `x`, `w`, `u`, `v`, `dv`, `d2v`, `y_cap`, `F_cap` and the
-  floats `norm`, `residual`, `inner_residual` and `tail` (reading `y_cap`
-  makes the deferred re-evaluation solve, after the timing). Cold start:
+  and 2. The four builds of the `quasimode-profiles` workload (beta = 0,
+  m = 2048 and 4096; beta = 2, m = 512 and 1024; each at the checkout's
+  residual-sweep mesh `RESIDUAL_SWEEP[beta][1]`, roots by continuation
+  from a cold start at the first m) are timed, best of 3, with the `L` and
+  `points` (the n) of each build's half-line solve, the number of further
+  solves one `evaluate` of the build makes after the timing, and one
+  sha256 per build over `x`, `w`, `u`, `v`, `dv`, `d2v`, the spline data
+  `evaluate` reads (`y_cap` and `v_cap`, or `y_cap` and `F_cap` on a
+  checkout whose evaluate makes its own solve) and the floats `norm`,
+  `residual`, `inner_residual` and `tail`. Cold start:
   the median wall time of 10 fresh processes that `import stripdamp.cli`,
   and of 10 that run `stripbench/probe.py 0 1 2` (the benchmark's set-up
   probe), with the `scipy.*` subpackages the import leaves in
@@ -64,7 +66,7 @@ PROFILE_CASE = (0.0, 4096)   # (beta, m) of the quasimode-profiles workload's la
 # the quasimode-profiles builds: the top of the beta = 0 residual sweep and
 # the bottom of the beta = 2 one
 PROFILE_BUILDS = ((0.0, slice(-2, None)), (2.0, slice(0, 2)))
-QUASIMODE_ARRAYS = ("x", "w", "u", "v", "dv", "d2v", "y_cap", "F_cap")
+QUASIMODE_ARRAYS = ("x", "w", "u", "v", "dv", "d2v", "y_cap", "v_cap", "F_cap")
 QUASIMODE_FLOATS = ("norm", "residual", "inner_residual", "tail")
 STARTUP_RUNS = 10
 LIST_SUBPACKAGES = ("import json, sys, stripdamp.cli; print(json.dumps(sorted("
@@ -152,6 +154,7 @@ def measure_builds(calls):
     """Best-of-3 time, half-line grid and content hash of the
     quasimode-profiles builds; calls is the list a recording wrapper of
     `cap.boundary_pair` appends each call's arguments to."""
+    import numpy as np
     from stripdamp import quasimode, verify
 
     out = {}
@@ -161,13 +164,19 @@ def measure_builds(calls):
         for m, sol in verify.mode_branch(beta, m_list[modes]):
             qm, best = best_of_3(quasimode.build_quasimode, sol, cfg.profile, cfg.cutoff,
                                  cap_dx=mesh)
-            _, _, L, n = calls[-1]   # the build's solve; reading y_cap below makes another
+            _, _, L, n = calls[-1]   # the build's solve
+            before = len(calls)
+            qm.evaluate(np.linspace(-cfg.profile.b, cfg.profile.b, 4001))
+            evaluate_solves = len(calls) - before
             digest = hashlib.sha256()
             for name in QUASIMODE_ARRAYS:
-                digest.update(getattr(qm, name).tobytes())
+                # a checkout has v_cap, or F_cap from evaluate's own solve
+                if hasattr(qm, name):
+                    digest.update(getattr(qm, name).tobytes())
             digest.update(repr([getattr(qm, name) for name in QUASIMODE_FLOATS]).encode())
             out[f"beta={beta:g} m={m} build_quasimode"] = {
-                "cap_dx": mesh, "L": L, "points": n, "nodes": int(qm.x.size),
+                "cap_dx": mesh, "L": L, "points": n, "evaluate_solves": evaluate_solves,
+                "nodes": int(qm.x.size),
                 "s": round(best, 3), "residual": qm.residual, "sha256": digest.hexdigest()}
     return out
 
