@@ -86,7 +86,6 @@ class RateFit:
     window: tuple
     r2: float
     inconclusive: bool
-    fit: FitResult
     reason: str = ""          # 'r2' or 'curvature' when inconclusive
 
 
@@ -242,7 +241,6 @@ def fit_decay(trace: EnergyTrace) -> RateFit:
         window=(float(tw[0]), float(tw[-1])),
         r2=fit.r2,
         inconclusive=inconclusive,
-        fit=fit,
         reason=reason,
     )
 

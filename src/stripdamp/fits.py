@@ -10,10 +10,7 @@ import numpy as np
 @dataclass(frozen=True)
 class FitResult:
     slope: float
-    intercept: float
-    stderr: float       # standard error of the slope
     r2: float
-    n: int
 
 
 def linear_fit(x, y) -> FitResult:
@@ -29,12 +26,7 @@ def linear_fit(x, y) -> FitResult:
     ss_res = float(resid @ resid)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    if n > 2:
-        sxx = float(((x - x.mean()) ** 2).sum())
-        stderr = np.sqrt(ss_res / (n - 2) / sxx) if sxx > 0 else np.inf
-    else:
-        stderr = 0.0
-    return FitResult(slope=slope, intercept=intercept, stderr=float(stderr), r2=r2, n=n)
+    return FitResult(slope=slope, r2=r2)
 
 
 def loglog_fit(x, y) -> FitResult:

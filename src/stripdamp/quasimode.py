@@ -111,7 +111,6 @@ class Quasimode:
     m: int
     q: complex
     h: float
-    h2: float               # b / (2 pi m), the primary small quantity
     s: float                # length rescaling h^(2/(beta+2))
     b: float
     delta: float            # cutoff margin used at build time
@@ -120,11 +119,6 @@ class Quasimode:
     w: np.ndarray
     u: np.ndarray           # cutoff * glued profile
     v: np.ndarray           # glued profile without cutoff
-    dv: np.ndarray
-    d2v: np.ndarray
-    phi: np.ndarray
-    dphi: np.ndarray
-    d2phi: np.ndarray
     # the glued factor v = B F at every stride-th point y of its grid, which
     # evaluate splines
     y_cap: np.ndarray
@@ -281,9 +275,8 @@ def build_quasimode(
     inner_residual = float(math.sqrt(np.sum(R_sq[~tail_sel]) / norm_sq))
 
     return Quasimode(
-        eig=eig, m=m, q=q, h=h, h2=h2, s=s,
-        b=b, delta=cutoff.delta, x=X, w=W, u=u, v=v, dv=dv, d2v=d2v,
-        phi=phi, dphi=dphi, d2phi=d2phi, y_cap=y_cap, v_cap=v_cap,
+        eig=eig, m=m, q=q, h=h, s=s,
+        b=b, delta=cutoff.delta, x=X, w=W, u=u, v=v, y_cap=y_cap, v_cap=v_cap,
         norm=math.sqrt(norm_sq), residual=residual,
         inner_residual=inner_residual, tail=tail,
     )
@@ -295,7 +288,10 @@ def direct_residual_norm(qm: Quasimode, profile: DampingProfile) -> float:
     Resamples u on a uniform grid, differentiates it blindly and uses the
     uncollapsed coefficient 4 pi^2 m^2/b^2 - q^2. Subject to the 1/h^4
     cancellation, so only meaningful at moderate frequencies; used to
-    validate the assembled path, not for sweeps.
+    validate the assembled path, not for sweeps. Meaningless at beta = 0,
+    at any frequency: W jumps from 0 to 1 at x = a, so u'' jumps there and
+    the blind difference across the jump swamps the norm (0.165 against the
+    assembled 3.04e-3 at m = 64; at beta = 1, m = 64 the two agree).
     """
     x, dx = np.linspace(0.0, qm.b, _DIRECT_RESIDUAL_N + 1, retstep=True)
     u = qm.evaluate(x)

@@ -38,7 +38,10 @@ from ``tests/`` or ``stripbench/tests/``, unless ``TEST_ONLY`` names it with
 a reason. Names are matched as for the options: an identifier, an attribute
 or a string constant (``verify``'s stage tables name their checks) counts
 wherever it appears, except inside the definition it names and in
-``__all__``.
+``__all__``. So must every field of a top-level ``@dataclass`` of the
+package, but a field counts as read only through an attribute access,
+``obj.field``, in a program file: a same-named local variable, keyword
+argument or string does not read it.
 
 Two rules keep the gate one statement: every bound a ``check_*`` function of
 ``verify`` compares against is a named entry of ``THRESHOLDS``, which the
@@ -114,8 +117,7 @@ class _Def:
 
     @classmethod
     def of_dataclass(cls, module: str, node: ast.ClassDef):
-        fields = [(f.target.id, f.value) for f in node.body
-                  if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        fields = _fields(node)
         defaulted = {name for name, value in fields if _plain_default(value)}
         return cls((module, node.name), [name for name, _ in fields], defaulted,
                    is_dataclass=True)
@@ -130,6 +132,12 @@ def _called_name(func):
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(_called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
                for d in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef):
+    """(name, right-hand side or None) of each field of a dataclass, in order."""
+    return [(f.target.id, f.value) for f in node.body
+            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
 
 
 def _plain_default(value) -> bool:
@@ -288,10 +296,12 @@ def test_allowlist_names_only_unused_parameters():
 
 
 class _References(ast.NodeVisitor):
-    """Names a file reads, outside the definition they name and ``__all__``."""
+    """Names a file reads, outside the definition they name and ``__all__``,
+    and the attribute names it reads as ``obj.name``, anywhere."""
 
     def __init__(self):
         self.names: set[str] = set()
+        self.attributes: set[str] = set()
         self.inside: list[str] = []
 
     def _visit_definition(self, node):
@@ -314,6 +324,8 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._read(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            self.attributes.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
@@ -322,7 +334,8 @@ class _References(ast.NodeVisitor):
 
 
 def names_used_only_by_tests():
-    """(module, qualified name) of package definitions no program file reads."""
+    """(module, qualified name) of package definitions and dataclass fields
+    no program file reads."""
     trees = _parse_all()
     refs = _References()
     for path, tree in trees.items():
@@ -342,6 +355,9 @@ def names_used_only_by_tests():
                             if isinstance(n, definitions) and not n.name.startswith("__")]
             unused |= {(path.stem, qualname) for qualname, d in members
                        if d.name not in refs.names}
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unused |= {(path.stem, f"{node.name}.{name}") for name, _ in _fields(node)
+                           if name not in refs.attributes}
     return unused
 
 
@@ -354,6 +370,14 @@ def test_every_package_name_is_used_outside_the_tests():
         "package names only tests reference (delete them, or keep them in "
         f"TEST_ONLY with a reason): {unused}; stale TEST_ONLY entries: {stale}"
     )
+
+
+def test_a_field_is_read_only_through_an_attribute():
+    # build_quasimode has locals named like fields (phi, dv): a local, a
+    # keyword, a string or a store does not read a field
+    refs = _References()
+    refs.visit(ast.parse("phi = dv\nQ(phi=phi, dv='d2v')\nqm.h2 = 0\nu = qm.u\n"))
+    assert refs.attributes == {"u"}
 
 
 def _option_strings(parser):

@@ -82,13 +82,6 @@ class TestFits:
         assert fit.slope == pytest.approx(-1.75, abs=1e-12)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_stderr_reflects_noise(self):
-        rng = np.random.default_rng(0)
-        x = np.geomspace(1, 100, 40)
-        y = x**2.0 * np.exp(rng.normal(0, 0.05, x.size))
-        fit = loglog_fit(x, y)
-        assert abs(fit.slope - 2.0) < 3 * fit.stderr + 0.05
-
     def test_local_slopes(self):
         x = np.array([1.0, 2.0, 4.0])
         y = x**3
@@ -98,7 +91,7 @@ class TestFits:
         t = np.linspace(0, 10, 50)
         fit = linear_fit(t, -0.7 * t + 2.0)
         assert fit.slope == pytest.approx(-0.7, abs=1e-12)
-        assert fit.intercept == pytest.approx(2.0, abs=1e-12)
+        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_data_required(self):
         with pytest.raises(ValueError):

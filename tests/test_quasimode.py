@@ -11,33 +11,51 @@ from stripdamp.model import CutoffFunction, DampingProfile, select_h
 from stripdamp.quadrature import complex_interp, fd_derivative
 
 
-def _pointwise_residual(qm, profile):
-    """Residual of the reduced operator on qm.x, assembled as build_quasimode does."""
+def _h2(qm):
+    """b / (2 pi m), the primary small quantity."""
+    return qm.b / (2.0 * math.pi * qm.m)
+
+
+def _pointwise_residual(qm, profile, cutoff, v, dv, d2v):
+    """Residual of the reduced operator on qm.x for the uncut profile v and
+    its derivatives, assembled as build_quasimode does; the cutoff and its
+    derivatives come from the CutoffFunction."""
     lam = qm.eig.lambda_h
-    coef = -(lam * lam) / qm.h2 - lam**4 / 4.0
-    upp = qm.d2phi * qm.v + 2.0 * qm.dphi * qm.dv + qm.phi * qm.d2v
-    return -upp + 1j * qm.q * profile.damping(qm.x) * qm.u + coef * qm.u
+    phi = cutoff.value(qm.x)
+    dphi, d2phi = cutoff.derivative(qm.x, 1), cutoff.derivative(qm.x, 2)
+    u = phi * v
+    coef = -(lam * lam) / _h2(qm) - lam**4 / 4.0
+    upp = d2phi * v + 2.0 * dphi * dv + phi * d2v
+    return -upp + 1j * qm.q * profile.damping(qm.x) * u + coef * u
 
 
 def _full_grid_profile(qm, F, L, nF, second_derivative):
-    """(v, dv, d2v) on the nodes x >= a, from derivatives of the half-line
+    """(v, dv, d2v) on every node of qm.x. On x < a they are the closed form
+    of eigen.left_solution. On x >= a they are derivatives of the half-line
     factor F over its whole grid of nF intervals on [0, L], interpolated the
     way build_quasimode did before it differenced only the bracketing points.
     The "equation" second derivative is the equation F solves at each node,
     the "fd" one a full-grid difference interpolated to the nodes."""
     eig = qm.eig
+    left = qm.x < eig.a
+    v = np.empty(qm.x.shape, dtype=complex)
+    dv, d2v = np.empty_like(v), np.empty_like(v)
+    v[left], dv[left] = eigen.left_solution(qm.x[left], eig.lambda_h, qm.h, eig.a)
+    d2v[left] = -(eig.lambda_h * eig.lambda_h / _h2(qm)) * v[left]
+
     y = np.linspace(0.0, L, nF + 1)
     dy = L / nF
     F1 = fd_derivative(F, dy, order=1)
     v_at_a, _ = eigen.left_solution(np.array([eig.a]), eig.lambda_h, qm.h, eig.a)
     B = complex(v_at_a[0]) / F[0]
-    yq = (qm.x[qm.x >= eig.a] - eig.a) / qm.s
-    v = B * complex_interp(yq, y, F)
+    yq = (qm.x[~left] - eig.a) / qm.s
+    v[~left] = B * complex_interp(yq, y, F)
+    dv[~left] = B * complex_interp(yq, y, F1) / qm.s
     if second_derivative == "equation":
-        d2v = (1j * yq**eig.beta - eig.eta) * v / qm.s**2
+        d2v[~left] = (1j * yq**eig.beta - eig.eta) * v[~left] / qm.s**2
     else:
-        d2v = B * complex_interp(yq, y, fd_derivative(F, dy, order=2)) / qm.s**2
-    return v, B * complex_interp(yq, y, F1) / qm.s, d2v
+        d2v[~left] = B * complex_interp(yq, y, fd_derivative(F, dy, order=2)) / qm.s**2
+    return v, dv, d2v
 
 
 def _recorded_solves(monkeypatch):
@@ -123,18 +141,14 @@ class TestAssembly:
         qm = quasimode.build_quasimode(sol, profile1, cutoff)
         L, nF, F = solves[0]
         assert nF == round(L / cap._DEFAULT_DX)
-        right = qm.x >= sol.a
-        v, dv, d2v = (np.array(f) for f in (qm.v, qm.dv, qm.d2v))
-        v[right], dv[right], d2v[right] = _full_grid_profile(qm, F, L, nF, "equation")
+        v, dv, d2v = _full_grid_profile(qm, F, L, nF, "equation")
         assert np.array_equal(qm.v, v)
-        assert np.array_equal(qm.dv, dv)
-        assert np.array_equal(qm.d2v, d2v)
 
-        u = qm.phi * v
-        oracle = dataclasses.replace(qm, u=u, v=v, dv=dv, d2v=d2v)
+        u = cutoff.value(qm.x) * v
+        assert np.array_equal(qm.u, u)
         norm_sq = float(np.sum(qm.w * np.abs(u) ** 2))
         tail_sel = qm.x >= profile1.a + profile1.sigma
-        R_sq = qm.w * np.abs(_pointwise_residual(oracle, profile1)) ** 2
+        R_sq = qm.w * np.abs(_pointwise_residual(qm, profile1, cutoff, v, dv, d2v)) ** 2
         assert qm.norm == math.sqrt(norm_sq)
         assert qm.tail == float(np.sum(qm.w[tail_sel] * np.abs(u[tail_sel]) ** 2) / norm_sq)
         assert qm.residual == float(math.sqrt(np.sum(R_sq) / norm_sq))
@@ -157,7 +171,7 @@ class TestHalfLineGrid:
         L, n, _ = solves[0]
 
         # each node the cutoff keeps has both points of its bracket on the grid
-        kept = (qm.phi != 0.0) & (qm.x >= a)
+        kept = (cutoff.value(qm.x) != 0.0) & (qm.x >= a)
         j = _linspace_bracket((qm.x[kept] - a) / qm.s, L, n)
         assert j.min() >= 0 and j.max() + 1 <= n
         assert a + L * qm.s > b - delta
@@ -236,10 +250,11 @@ class TestEvaluation:
 class TestAnsatz:
     def test_exact_frequency_relation(self, qm1):
         lam = qm1.eig.lambda_h
-        assert qm1.q == pytest.approx(1.0 / qm1.h2 + lam * lam / 2.0, rel=1e-15)
+        h2 = _h2(qm1)
+        assert qm1.q == pytest.approx(1.0 / h2 + lam * lam / 2.0, rel=1e-15)
         assert qm1.m == 64
         assert 4 * math.pi**2 * qm1.m**2 / qm1.b**2 == pytest.approx(
-            1.0 / qm1.h2**2, rel=1e-14
+            1.0 / h2**2, rel=1e-14
         )
 
     def test_synthetic_zero_lambda(self, qm1):
@@ -248,7 +263,7 @@ class TestAnsatz:
         eig0 = dataclasses.replace(qm1.eig, lambda_h=0.0 + 0.0j)
         q, m = quasimode.ansatz_params(eig0, qm1.b)
         assert q.imag == 0.0
-        assert q == pytest.approx(1.0 / qm1.h2)
+        assert q == pytest.approx(1.0 / _h2(qm1))
 
     def test_imq_constant_limit(self):
         # Im q / h^((2 beta + 6)/(beta + 2)) approaches pi l Im(C)/a, with a
@@ -296,12 +311,9 @@ class TestResidual:
         solves = _recorded_solves(monkeypatch)
         qa = quasimode.build_quasimode(sol, profile1, cutoff)
         L, nF, F = solves[0]
-        right = qa.x >= sol.a
-        v, dv, d2v = (np.array(f) for f in (qa.v, qa.dv, qa.d2v))
-        v[right], dv[right], d2v[right] = _full_grid_profile(qa, F, L, nF, "fd")
-        fd = dataclasses.replace(qa, v=v, dv=dv, d2v=d2v, u=qa.phi * v)
-        norm_sq = float(np.sum(fd.w * np.abs(fd.u) ** 2))
-        R_sq = fd.w * np.abs(_pointwise_residual(fd, profile1)) ** 2
+        v, dv, d2v = _full_grid_profile(qa, F, L, nF, "fd")
+        norm_sq = float(np.sum(qa.w * np.abs(cutoff.value(qa.x) * v) ** 2))
+        R_sq = qa.w * np.abs(_pointwise_residual(qa, profile1, cutoff, v, dv, d2v)) ** 2
         assert math.sqrt(np.sum(R_sq) / norm_sq) == pytest.approx(qa.residual, rel=0.02)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])

@@ -27,10 +27,9 @@ own `src`:
   from a cold start at the first m) are timed, best of 3, with the `L` and
   `points` (the n) of each build's half-line solve, the number of further
   solves one `evaluate` of the build makes after the timing, and one
-  sha256 per build over `x`, `w`, `u`, `v`, `dv`, `d2v`, the spline data
-  `evaluate` reads (`y_cap` and `v_cap`, or `y_cap` and `F_cap` on a
-  checkout whose evaluate makes its own solve) and the floats `norm`,
-  `residual`, `inner_residual` and `tail`. Cold start:
+  sha256 per build over `x`, `w`, `u`, `v`, the spline data `evaluate`
+  reads (`y_cap` and `v_cap`) and the floats `norm`, `residual`,
+  `inner_residual` and `tail`. Cold start:
   the median wall time of 10 fresh processes that `import stripdamp.cli`,
   and of 10 that run `stripbench/probe.py 0 1 2` (the benchmark's set-up
   probe), with the `scipy.*` subpackages the import leaves in
@@ -46,7 +45,6 @@ the kernel figures of one checkout.
 """
 
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -66,7 +64,7 @@ PROFILE_CASE = (0.0, 4096)   # (beta, m) of the quasimode-profiles workload's la
 # the quasimode-profiles builds: the top of the beta = 0 residual sweep and
 # the bottom of the beta = 2 one
 PROFILE_BUILDS = ((0.0, slice(-2, None)), (2.0, slice(0, 2)))
-QUASIMODE_ARRAYS = ("x", "w", "u", "v", "dv", "d2v", "y_cap", "v_cap", "F_cap")
+QUASIMODE_ARRAYS = ("x", "w", "u", "v", "y_cap", "v_cap")
 QUASIMODE_FLOATS = ("norm", "residual", "inner_residual", "tail")
 STARTUP_RUNS = 10
 LIST_SUBPACKAGES = ("import json, sys, stripdamp.cli; print(json.dumps(sorted("
@@ -134,13 +132,9 @@ def measure_kernel(src):
                       "F_sha256": hashlib.sha256(F.tobytes()).hexdigest()}
         if eta == DEFAULT_GRID_ETA:
             out[label]["F0_err_vs_shooting"] = error(f0, beta)
-    # boundary_value reads its cut from default_truncation; a checkout from
-    # before that takes the cut as a third argument
-    pass_L = "L" in inspect.signature(cap.boundary_value).parameters
     for beta in verify.BETAS:
         L = cap.default_truncation(beta)
-        args = (DEFAULT_GRID_ETA, beta, L) if pass_L else (DEFAULT_GRID_ETA, beta)
-        (f0, df0), best = best_of_3(cap.boundary_value, *args)
+        (f0, df0), best = best_of_3(cap.boundary_value, DEFAULT_GRID_ETA, beta)
         out[f"beta={beta:g} boundary_value"] = {
             "eta": repr(DEFAULT_GRID_ETA), "L": L, "ms": round(best * 1e3, 3),
             "F0": repr(complex(f0)), "dF0": repr(complex(df0)),
@@ -170,9 +164,7 @@ def measure_builds(calls):
             evaluate_solves = len(calls) - before
             digest = hashlib.sha256()
             for name in QUASIMODE_ARRAYS:
-                # a checkout has v_cap, or F_cap from evaluate's own solve
-                if hasattr(qm, name):
-                    digest.update(getattr(qm, name).tobytes())
+                digest.update(getattr(qm, name).tobytes())
             digest.update(repr([getattr(qm, name) for name in QUASIMODE_FLOATS]).encode())
             out[f"beta={beta:g} m={m} build_quasimode"] = {
                 "cap_dx": mesh, "L": L, "points": n, "evaluate_solves": evaluate_solves,
