@@ -15,8 +15,8 @@ with K + s and q W Hermitian, so 1/norm is at least the distance from 0 to
 the rectangle [lambda_1 + s, lambda_n + s] x [q min W, q max W] that holds
 the numerical range of P.
 
-ARPACK (scipy.sparse.linalg) is imported by the first sigma_min solve, not
-with the module, so importing it loads only NumPy and scipy.linalg.
+The iteration needs only LAPACK and the tridiagonal eigensolver of
+scipy.linalg, so no solve loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import ResolutionError, RootFindError
 from .fits import FitResult, loglog_fit
@@ -88,12 +88,10 @@ def assemble_reduced_operator(q: float, m: int, profile, n: int) -> ReducedOpera
     return ReducedOperator(diag=diag, grid=grid)
 
 
-# Lanczos basis size of the sigma_min iteration. ARPACK fills the whole basis
-# before its first convergence test, so an isolated sigma_min (a peak) costs
-# ncv + 1 products, while a clustered one (uniform damping off resonance)
-# needs more restarts the smaller the basis. 16 was measured against 6-48 on
-# both kinds; the figures are in CHANGES.md and BENCH_resolvent.json.
-LANCZOS_NCV = 16
+# Iteration cap of the sigma_min Lanczos, one (P*P)^-1 product an iteration.
+# A peak converges in 4-5; the clustered sigma_min of uniform damping off
+# resonance took 217 at q = 640, m = 309, n = 4000, the most measured.
+LANCZOS_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -104,25 +102,43 @@ class ResolventSample:
     n: int
 
 
-def _smallest_singular_value(op: ReducedOperator, tol: float) -> float:
-    import scipy.sparse.linalg as spla
+def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b>, summed by NumPy: a BLAS dot product rounds differently with
+    the number of BLAS threads, and the resolvent norms must not."""
+    return float(np.sum(a.view(float) * b.view(float)))
 
+
+def _smallest_singular_value(op: ReducedOperator, tol: float) -> float:
+    """sigma_min of P by three-term Lanczos on (P*P)^-1.
+
+    Stops at the first iteration j whose top Ritz value theta of the j x j
+    tridiagonal meets ARPACK's test |beta_j s_j| <= tol theta, where s_j is
+    the last component of theta's eigenvector; beta_j = 0 (an invariant
+    Krylov space) meets it. Only the last two Lanczos vectors are kept: no
+    reorthogonalization and no Ritz vector, as only the value is returned.
+    """
     n = op.grid.n
     off = np.full(n - 1, op.grid.off, dtype=complex)
     dl, d, du, du2, ipiv, info = lapack.zgttrf(off, op.diag, off)
     if info > 0:
         raise RuntimeError(f"P is singular: zgttrf found a zero pivot U({info}, {info})")
-
-    def matvec(z):
-        y, _ = lapack.zgttrs(dl, d, du, du2, ipiv, z, trans="C")
-        return lapack.zgttrs(dl, d, du, du2, ipiv, y, trans="N")[0]
-
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
     rng = np.random.default_rng(1234)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    vals, _ = spla.eigsh(op, k=1, which="LM", tol=tol, maxiter=2000, v0=v0,
-                         ncv=min(n - 1, LANCZOS_NCV))
-    return 1.0 / math.sqrt(float(vals[0]))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= math.sqrt(_real_inner(v, v))
+    v_prev = np.zeros(n, dtype=complex)
+    alpha, beta = [], [0.0]
+    for j in range(LANCZOS_MAX_ITER):
+        y = lapack.zgttrs(dl, d, du, du2, ipiv, v, trans="C")[0]
+        w = lapack.zgttrs(dl, d, du, du2, ipiv, y, trans="N")[0]
+        w -= beta[-1] * v_prev
+        alpha.append(_real_inner(v, w))
+        w -= alpha[-1] * v
+        beta.append(math.sqrt(_real_inner(w, w)))
+        theta, s = eigh_tridiagonal(alpha, beta[1:-1], select="i", select_range=(j, j))
+        if beta[-1] * abs(s[-1, 0]) <= tol * theta[0]:
+            return 1.0 / math.sqrt(theta[0])
+        v_prev, v = v, w / beta[-1]
+    raise RuntimeError(f"Lanczos did not converge in {LANCZOS_MAX_ITER} iterations")
 
 
 def resolvent_norm(q: float, m: int, profile, n: int, *,
@@ -136,7 +152,7 @@ def resolvent_norm(q: float, m: int, profile, n: int, *,
     op = assemble_reduced_operator(q, m, profile, n)
     try:
         smin = _smallest_singular_value(op, tol)
-    except RuntimeError as exc:  # ArpackNoConvergence, or a zero pivot
+    except RuntimeError as exc:  # no convergence, or a zero pivot
         raise RootFindError(
             f"sigma_min failed at (q, m, n) = ({q!r}, {m}, {n}): {exc}"
         ) from exc

@@ -304,15 +304,30 @@ class TestInputChecks:
         assert not (tmp_path / "out").exists()
 
 
-def test_import_loads_no_first_use_subpackage():
-    # the integrator, the spline and ARPACK load where they are called, so a
-    # fresh process that only imports the command line pays for none of them
+def _scipy_modules_loaded_by(code):
+    """The scipy submodules loaded in a fresh process after running code."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, json, stripdamp.cli; print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.'))))")
+    code += "\nimport sys, json\nprint(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    loaded = set(json.loads(out.stdout))
+    return set(json.loads(out.stdout))
+
+
+def test_import_loads_no_first_use_subpackage():
+    # the integrator, the spline and the sparse matrices of --dump-operator
+    # load where they are called, so a fresh process that only imports the
+    # command line pays for none of them
+    loaded = _scipy_modules_loaded_by("import stripdamp.cli")
     assert "scipy.linalg" in loaded
     assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.sparse.linalg"}
+
+
+def test_resolvent_norm_loads_no_sparse_module():
+    # the sigma_min iteration runs on LAPACK and scipy.linalg alone
+    loaded = _scipy_modules_loaded_by(
+        "from stripdamp import resolvent\n"
+        "from stripdamp.model import UniformDamping\n"
+        "resolvent.resolvent_norm(11.0, 3, UniformDamping(0.0, 3.0), 4000)")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]

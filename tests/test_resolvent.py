@@ -53,11 +53,10 @@ class TestAssembly:
         assert np.allclose(anti1, q * profile1.damping(op1.grid.x))
 
     def test_lanczos_failure_raises(self, profile1, monkeypatch):
-        # no quiet second path to the norm: the package error names the point
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        # no quiet second path to the norm: the package error names the point.
+        # The full-tolerance solve here takes 9 iterations, so a cap of 3
+        # stops it unconverged.
+        monkeypatch.setattr(resolvent, "LANCZOS_MAX_ITER", 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(StripDampError, match=r"\(q, m, n\) = \(9\.0, 3, 2000\)"):
@@ -124,6 +123,48 @@ def test_matches_dense_svd(case, profile1):
     op = resolvent.assemble_reduced_operator(q, m, profile, n)
     oracle = 1.0 / _banded_sigma_min(op.diag, -1.0 / op.grid.dx**2)
     assert resolvent.resolvent_norm(q, m, profile, n).norm == pytest.approx(oracle, rel=1e-8)
+
+
+def _arpack_norm(q, m, profile, n):
+    """1 / sigma_min by ARPACK (eigsh, 16-vector basis) on (P*P)^-1, with the
+    factor, start vector and tolerance of resolvent_norm's own Lanczos."""
+    op = resolvent.assemble_reduced_operator(q, m, profile, n)
+    off = np.full(n - 1, op.grid.off, dtype=complex)
+    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.zgttrf(off, op.diag, off)
+    assert info == 0
+
+    def matvec(z):
+        y = scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv, z, trans="C")[0]
+        return scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv, y, trans="N")[0]
+
+    rng = np.random.default_rng(1234)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vals = spla.eigsh(spla.LinearOperator((n, n), matvec=matvec, dtype=complex), k=1,
+                      which="LM", tol=1e-9, maxiter=2000, v0=v0, ncv=16,
+                      return_eigenvectors=False)
+    return math.sqrt(float(vals[0]))
+
+
+@pytest.fixture(scope="module")
+def benchmark_peaks():
+    """(q, m, profile, n) of the two beta = 1 peaks the resolvent-peaks
+    benchmark workload solves, on the grids scan_peaks sizes for them."""
+    scan, _ = verify.resolvent_scan(1.0, verify.RESOLVENT_BRANCH_M[1.0][:2])
+    assert [s.m for s in scan.samples] == [2048, 4096]
+    profile = verify.default_config(1.0).profile
+    return [(s.q, s.m, profile, s.n) for s in scan.samples]
+
+
+@pytest.mark.parametrize("case", [0, 1, "uniform"],
+                         ids=["peak m=2048", "peak m=4096", "uniform q=640 m=309"])
+def test_matches_arpack(case, benchmark_peaks):
+    # the oracle of the kernel the Lanczos replaced, at the isolated sigma_min
+    # of a peak and at the clustered one of uniform damping off resonance
+    if case == "uniform":
+        args = (640.0, 309, UniformDamping(1.0, 3.0), 4000)
+    else:
+        args = benchmark_peaks[case]
+    assert resolvent.resolvent_norm(*args).norm == pytest.approx(_arpack_norm(*args), rel=1e-10)
 
 
 class TestScan:

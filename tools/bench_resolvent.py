@@ -9,7 +9,9 @@ measurement runs in a fresh process at one BLAS thread, on each checkout's
 own `src`:
 
 * kernel: for one `resolvent_norm` call at the full tolerance, the time
-  (best of 3) and the number of (P*P)^-1 products, at the four branch sizes
+  (best of 3) and the number of (P*P)^-1 products, counted as half the
+  `zgttrs` solves so that any kernel on the same factor reads the same way,
+  at the four branch sizes
   of `RESOLVENT_BRANCH_M` the kernel spans and on the clustered
   uniform-damping spectrum; the scan seconds `verify.resolvent_scan`
   returns at beta = 0, 1 and 2; and, for `scan_and_fit` on the benchmark's
@@ -77,37 +79,33 @@ def measure_kernel(src):
         resolvent.resolvent_norm = norm
     scan_and_fit = measure_scan_and_fit(resolvent, verify, UniformDamping(1.0, 3.0))
 
-    import scipy.sparse.linalg as spla
+    # every (P*P)^-1 product is two zgttrs solves, on either kernel
+    solves = [0]
+    zgttrs = resolvent.lapack.zgttrs
 
-    products = [0]
-    eigsh = spla.eigsh
-
-    def counting_eigsh(A, *args, **kwargs):
-        def matvec(z):
-            products[0] += 1
-            return A.matvec(z)
-        op = spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
-        return eigsh(op, *args, **kwargs)
+    def counting_zgttrs(*args, **kwargs):
+        solves[0] += 1
+        return zgttrs(*args, **kwargs)
 
     def one_call(q, m, profile, n):
         best = math.inf
         for _ in range(3):
-            products[0] = 0
+            solves[0] = 0
             t0 = time.perf_counter()
             samp = resolvent.resolvent_norm(q, m, profile, n)
             best = min(best, time.perf_counter() - t0)
         return {"q": q, "m": m, "n": n, "ms": round(best * 1e3, 2),
-                "products": products[0], "norm": samp.norm}
+                "products": solves[0] // 2, "norm": samp.norm}
 
     calls = {}
-    spla.eigsh = counting_eigsh
+    resolvent.lapack.zgttrs = counting_zgttrs
     try:
         for beta, m in BRANCH_CASES:
             calls[f"beta={beta:g} m={m}"] = one_call(*first_calls[(beta, m)])
         q, m, n = CLUSTERED_CASE
         calls[f"uniform W=1 q={q:g} m={m}"] = one_call(q, m, UniformDamping(1.0, 3.0), n)
     finally:
-        spla.eigsh = eigsh
+        resolvent.lapack.zgttrs = zgttrs
     return {"calls": calls, "scans": scans, "scan_and_fit": scan_and_fit}
 
 
