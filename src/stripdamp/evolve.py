@@ -24,6 +24,22 @@ stiffness product. S is real, symmetric and tridiagonal, and positive
 definite while 1 + alpha W stays positive: LAPACK `dpttrf` factors it once
 as L D L^T, and each step is one `dpttrs` solve with the real and imaginary
 parts of the complex state as its two right-hand sides.
+
+The damping must be even, W(-x) = W(x); evolve refuses one that is not.
+Then S commutes with the reversal J of the grid, x -> -x, and the step is
+taken in the reflection basis: the even part (u + Ju)/2 lives on the nodes
+x >= 0 and the odd part (u - Ju)/2 on the nodes x > 0, each with its own
+block of S. A block differs from S restricted to its nodes only in the row
+next to x = 0. For even n the mirror node of that row is a node of the
+block with the same (even) or opposite (odd) value, so +/- the
+off-diagonal moves onto the diagonal. For odd n the odd part vanishes at
+the centre node, so the odd block is S unchanged; the even block carries
+the centre, whose row sees its neighbour twice, and the similarity
+diag(1/sqrt(2), 1, ...) of `cap.neumann_ground` makes it symmetric. A part
+whose u and v are exactly zero stays zero under the linear step and is
+left out; the kept blocks are stacked into one factor with a zero
+coupling entry. So a state of one parity, such as every quasimode, steps
+on half the grid. Energies are taken on the rebuilt full state.
 """
 
 from __future__ import annotations
@@ -37,6 +53,17 @@ from scipy.linalg import lapack
 from .errors import InstabilityError, PreconditionError, ResolutionError
 from .fits import FitResult, linear_fit
 from .model import StripGrid, transverse_shift
+
+# largest |W(x) - W(-x)| on the nodes x >= 0, relative to max |W|, that
+# evolve accepts as an even damping. The package's profiles read |x|, so
+# theirs is exactly 0; the samples on the mirrored grid nodes differ by up
+# to 2.2e-15 relative at beta = 1 and 2 through the rounding of x, and at
+# beta = 0 by the whole jump on grids with a node at |x| = a, which is why
+# W is evaluated at -x and not read off the left half of the grid.
+EVEN_DAMPING_RTOL = 1e-12
+# relative energy rise per sample that evolve reports as an instability;
+# the scheme is dissipative for W >= 0, so a real rise is rounding-sized
+ENERGY_RISE_RTOL = 1e-9
 
 __all__ = [
     "WaveState",
@@ -103,9 +130,38 @@ def discrete_energy(state: WaveState) -> float:
 
 
 def quasimode_state(qm, n: int) -> WaveState:
-    """Initial data (u, i q u) resampling a stored quasimode on n points."""
-    u = qm.evaluate(StripGrid(qm.b, n).x)
+    """Initial data (u, i q u) resampling a stored quasimode on n points.
+
+    The quasimode is odd: it is evaluated on the nodes x > 0 only and
+    mirrored with a sign change, 0 at the centre node for odd n, so u is
+    exactly odd and evolve steps it on the odd reflection block alone.
+    """
+    half, centre = divmod(n, 2)
+    right = qm.evaluate(StripGrid(qm.b, n).x[half + centre:])
+    u = np.concatenate([-right[::-1], np.zeros(centre, dtype=complex), right])
     return WaveState(u=u, v=1j * qm.q * u, m=qm.m, b=qm.b)
+
+
+def _reflection_parts(z: np.ndarray, half: int, centre: int):
+    """(even, odd): (z + Jz)/2 on the nodes x >= 0 and (z - Jz)/2 on x > 0.
+
+    J reverses the grid. For odd n the even part starts at the centre node,
+    scaled by 1/sqrt(2) to the coordinates of the symmetrised even block.
+    """
+    jz = z[::-1]
+    even = 0.5 * (z[half:] + jz[half:])
+    odd = 0.5 * (z[half + centre:] - jz[half + centre:])
+    even[:centre] *= math.sqrt(0.5)
+    return even, odd
+
+
+def _from_reflection_parts(even: np.ndarray, odd: np.ndarray, half: int, centre: int):
+    """The grid function whose reflection parts are even and odd."""
+    z = np.empty(2 * half + centre, dtype=complex)
+    z[half + centre:] = even[centre:] + odd
+    z[:half] = (even[centre:] - odd)[::-1]
+    z[half:half + centre] = math.sqrt(2.0) * even[:centre]
+    return z
 
 
 def evolve(
@@ -121,12 +177,13 @@ def evolve(
     at t = k dt (and states if asked).
 
     dt must resolve the fastest retained oscillation; an energy increase
-    beyond 1e-9 (relative, per sample) raises InstabilityError since the
-    scheme is dissipative for W >= 0; with negative W the error names the
-    minimum of W as the cause. So does a step matrix that is not
+    beyond ENERGY_RISE_RTOL (relative, per sample) raises InstabilityError
+    since the scheme is dissipative for W >= 0; with negative W the error
+    names the minimum of W as the cause. So does a step matrix that is not
     positive definite, which happens only where 1 + W dt/2 <= 0. A step
-    dt that is not positive, a negative horizon T or a stride below 1
-    raises PreconditionError before any factorization.
+    dt that is not positive, a negative horizon T, a stride below 1 or a
+    damping that is not even raises PreconditionError before any
+    factorization.
     """
     if not dt > 0:
         raise PreconditionError(f"dt must be positive (got {dt})")
@@ -136,7 +193,17 @@ def evolve(
         raise PreconditionError(f"stride must be at least 1 (got {stride})")
     n, b, m = initial.n, initial.b, initial.m
     grid = initial.grid
-    W = grid.damping(profile)
+    half, centre = divmod(n, 2)     # x[half] = 0 when n is odd
+    x = grid.x[half:]
+    W, W_mirror = profile.damping(x), profile.damping(-x)
+    asym = np.abs(W - W_mirror)
+    worst = int(np.argmax(asym))
+    if asym[worst] > EVEN_DAMPING_RTOL * np.abs(W).max():
+        raise PreconditionError(
+            f"the damping is not even: W(x) = {W[worst]:.6g} but W(-x) = "
+            f"{W_mirror[worst]:.6g} at x = {x[worst]:.6g}; the stepper splits the "
+            "strip at x = 0 and needs W(-x) = W(x)"
+        )
     shift = transverse_shift(m, b)
     freq = math.sqrt(shift)
     if dt * freq > 1.5:
@@ -145,25 +212,57 @@ def evolve(
         )
     alpha = 0.5 * dt
     one_plus_aw = 1.0 + alpha * W
-    sd, se, info = lapack.dpttrf(one_plus_aw + alpha**2 * (2.0 / grid.dx**2 + shift),
-                                 np.full(n - 1, -alpha**2 / grid.dx**2))
+    diag = one_plus_aw + alpha**2 * (2.0 / grid.dx**2 + shift)
+    off = -alpha**2 / grid.dx**2
+    u0, v0 = initial.u.astype(complex), initial.v.astype(complex)
+    u_even, u_odd = _reflection_parts(u0, half, centre)
+    v_even, v_odd = _reflection_parts(v0, half, centre)
+    # the row next to x = 0 meets its mirror node: as itself in the even
+    # block, as its negative (or as the zero centre node) in the odd one
+    d_even, e_even = diag.copy(), np.full(half + centre - 1, off)
+    d_even[:1 - centre] += off
+    e_even[:centre] *= math.sqrt(2.0)
+    d_odd, e_odd = diag[centre:].copy(), np.full(half - 1, off)
+    d_odd[:1 - centre] -= off
+    # a part that is zero stays zero under the linear step; the zero state
+    # keeps its even block, so there is always one to factor, and below 4
+    # nodes both are kept (LAPACK's wrapper refuses a one-row factor)
+    keep_odd = bool(np.any(u_odd) or np.any(v_odd)) or half < 2
+    keep_even = bool(np.any(u_even) or np.any(v_even)) or not keep_odd or half < 2
+    blocks = [blk for keep, blk in (
+        (keep_even, (d_even, e_even, one_plus_aw, x, u_even, v_even)),
+        (keep_odd, (d_odd, e_odd, one_plus_aw[centre:], x[centre:], u_odd, v_odd)),
+    ) if keep]
+    bd, be, bw, bx, ub, vb = (np.concatenate(col) for col in zip(*blocks))
+    if len(blocks) == 2:
+        be = np.insert(be, e_even.size, 0.0)    # the blocks do not couple
+    sd, se, info = lapack.dpttrf(bd, be)
     if info > 0:
         raise InstabilityError(
             f"the step matrix diag(1 + W dt/2) + (dt/2)^2 A is not positive definite "
-            f"at (n, dt, m) = ({n}, {dt}, {m}): pivot {info} is not positive; "
+            f"at (n, dt, m) = ({n}, {dt}, {m}): pivot {info} of its reflection blocks "
+            f"(node x = {bx[info - 1]:.6g}) is not positive; "
             "1 + W dt/2 must stay positive, so the damping is too negative for dt"
         )
-    c = (2.0 * one_plus_aw)[:, None]
+    n_even = d_even.size if keep_even else 0
+    zero_even, zero_odd = np.zeros(half + centre), np.zeros(half)
+
+    def full(z):
+        """The grid function of the blocked vector z."""
+        return _from_reflection_parts(z[:n_even] if keep_even else zero_even,
+                                      z[n_even:] if keep_odd else zero_odd, half, centre)
+
+    c = (2.0 * bw)[:, None]
     # columns are the real and imaginary parts, so dpttrs solves in place
-    u = np.empty((n, 2), order="F")
+    u = np.empty((bd.size, 2), order="F")
     p = np.empty_like(u)
     y = np.empty_like(u)
-    u[:, 0], u[:, 1] = initial.u.real, initial.u.imag
-    p[:, 0], p[:, 1] = initial.v.real, initial.v.imag
+    u[:, 0], u[:, 1] = ub.real, ub.imag
+    p[:, 0], p[:, 1] = vb.real, vb.imag
     p *= 2.0 * alpha
     steps = int(round(T / dt))
     times = [0.0]
-    state = WaveState(u=initial.u.astype(complex), v=initial.v.astype(complex), m=m, b=b)
+    state = WaveState(u=u0, v=v0, m=m, b=b)
     energies = [discrete_energy(state)]
     states = [state] if store_states else None
     e_prev = energies[0]
@@ -178,11 +277,11 @@ def evolve(
         u, y = y, u
         if k % stride == 0 or k == steps:
             t = k * dt
-            state = WaveState(u=u[:, 0] + 1j * u[:, 1],
-                              v=(p[:, 0] + 1j * p[:, 1]) / (2.0 * alpha),
+            state = WaveState(u=full(u[:, 0] + 1j * u[:, 1]),
+                              v=full((p[:, 0] + 1j * p[:, 1]) / (2.0 * alpha)),
                               m=m, b=b)
             e = discrete_energy(state)
-            if e > e_prev * (1.0 + 1e-9):
+            if e > e_prev * (1.0 + ENERGY_RISE_RTOL):
                 w_min = float(W.min())
                 cause = ("the damping is nonnegative so this indicates a stepping fault"
                          if w_min >= 0.0 else

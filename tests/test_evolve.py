@@ -158,6 +158,72 @@ class TestScheme:
         assert np.linalg.norm(states[-1].v - v) <= 1e-11 * np.linalg.norm(v)
         assert np.max(np.abs(trace.energies / energies - 1.0)) <= 1e-11
 
+    @pytest.mark.parametrize("n", [301, 300])
+    @pytest.mark.parametrize("parity, block_rows", [
+        ("even", lambda n: n // 2 + n % 2),
+        ("odd", lambda n: n // 2),
+        ("mixed", lambda n: n),
+    ])
+    def test_reflection_blocks_match_sparse_lu(self, n, parity, block_rows, profile1,
+                                               monkeypatch):
+        """Each parity, at odd and even n, steps as the full-grid (u, v) step
+        does, and on only the rows of its reflection blocks."""
+        x = StripGrid(3.0, n).x
+        if parity == "mixed":
+            rng = np.random.default_rng(11)
+            u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        else:
+            sign = 1.0 if parity == "even" else -1.0
+            f = (1.0 + x) * np.exp(-4.0 * (x - 0.3) ** 2) * (1 + 0.2j)
+            u = 0.5 * (f + sign * f[::-1])
+            v = (3.0 + 1.0j) * u
+        state = evolve.WaveState(u=u, v=v, m=3, b=3.0)
+        rows = []
+        dpttrf = evolve.lapack.dpttrf
+
+        def counted(d, e):
+            rows.append(d.size)
+            return dpttrf(d, e)
+
+        monkeypatch.setattr(evolve.lapack, "dpttrf", counted)
+        dt, steps = 1e-3, 200
+        u_ref, v_ref, energies = oracle_evolve(state, profile1, dt, steps)
+        trace, states = evolve.evolve(state, profile1, dt, steps * dt, store_states=True)
+        assert rows == [block_rows(n)]
+        assert np.linalg.norm(states[-1].u - u_ref) <= 1e-11 * np.linalg.norm(u_ref)
+        assert np.linalg.norm(states[-1].v - v_ref) <= 1e-11 * np.linalg.norm(v_ref)
+        assert np.max(np.abs(trace.energies / energies - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_grid_keeps_both_blocks(self, n, profile1):
+        # a one-parity state on fewer than 4 nodes would leave a one-row block
+        x = StripGrid(3.0, n).x
+        u = (x - x[::-1]) * (1 + 0.2j)
+        state = evolve.WaveState(u=u, v=np.zeros_like(u), m=3, b=3.0)
+        u_ref, _, energies = oracle_evolve(state, profile1, 1e-3, 20)
+        trace, states = evolve.evolve(state, profile1, 1e-3, 0.02, store_states=True)
+        assert np.linalg.norm(states[-1].u - u_ref) <= 1e-11 * np.linalg.norm(u_ref)
+        assert np.max(np.abs(trace.energies / energies - 1.0)) <= 1e-11
+
+    def test_uneven_damping_refused(self):
+        class Ramp:
+            """W = 1 + x / 10: positive, but not even."""
+
+            def damping(self, x):
+                return 1.0 + 0.1 * np.asarray(x, dtype=float)
+
+        with pytest.raises(PreconditionError, match=r"damping is not even: W\(x\) = 1\.29801 "
+                                                    r"but W\(-x\) = 0\.701993 at x = 2\.98007"):
+            evolve.evolve(bump_state(300), Ramp(), dt=1e-3, T=1.0)
+
+    @pytest.mark.parametrize("n", [601, 600])
+    def test_quasimode_state_is_odd(self, qm, n):
+        state = evolve.quasimode_state(qm, n)
+        assert np.array_equal(state.u, -state.u[::-1])
+        assert np.array_equal(state.v, -state.v[::-1])
+        if n % 2:
+            assert state.u[n // 2] == 0.0
+
     def test_quasimode_decays_at_twice_imq(self, qm, profile1):
         n = max(600, int(round(6.0 / (qm.s / 25.0))))
         state = evolve.quasimode_state(qm, n)
