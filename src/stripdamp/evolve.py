@@ -25,7 +25,8 @@ definite while 1 + alpha W stays positive: LAPACK `dpttrf` factors it once
 as L D L^T, and each step is one `dpttrs` solve with the real and imaginary
 parts of the complex state as its two right-hand sides.
 
-The damping must be even, W(-x) = W(x); evolve refuses one that is not.
+The damping must be even: its samples on the mirror-symmetric strip grid
+must equal their reversal exactly, and evolve refuses one that does not.
 Then S commutes with the reversal J of the grid, x -> -x, and the step is
 taken in the reflection basis: the even part (u + Ju)/2 lives on the nodes
 x >= 0 and the odd part (u - Ju)/2 on the nodes x > 0, each with its own
@@ -54,13 +55,6 @@ from .errors import InstabilityError, PreconditionError, ResolutionError
 from .fits import FitResult, linear_fit
 from .model import StripGrid, transverse_shift
 
-# largest |W(x) - W(-x)| on the nodes x >= 0, relative to max |W|, that
-# evolve accepts as an even damping. The package's profiles read |x|, so
-# theirs is exactly 0; the samples on the mirrored grid nodes differ by up
-# to 2.2e-15 relative at beta = 1 and 2 through the rounding of x, and at
-# beta = 0 by the whole jump on grids with a node at |x| = a, which is why
-# W is evaluated at -x and not read off the left half of the grid.
-EVEN_DAMPING_RTOL = 1e-12
 # relative energy rise per sample that evolve reports as an instability;
 # the scheme is dissipative for W >= 0, so a real rise is rounding-sized
 ENERGY_RISE_RTOL = 1e-9
@@ -132,13 +126,10 @@ def discrete_energy(state: WaveState) -> float:
 def quasimode_state(qm, n: int) -> WaveState:
     """Initial data (u, i q u) resampling a stored quasimode on n points.
 
-    The quasimode is odd: it is evaluated on the nodes x > 0 only and
-    mirrored with a sign change, 0 at the centre node for odd n, so u is
-    exactly odd and evolve steps it on the odd reflection block alone.
+    evaluate is exactly odd on the mirror-symmetric strip grid, so u is exactly
+    odd (0 at the centre node for odd n) and steps on the odd block alone.
     """
-    half, centre = divmod(n, 2)
-    right = qm.evaluate(StripGrid(qm.b, n).x[half + centre:])
-    u = np.concatenate([-right[::-1], np.zeros(centre, dtype=complex), right])
+    u = qm.evaluate(StripGrid(qm.b, n).x)
     return WaveState(u=u, v=1j * qm.q * u, m=qm.m, b=qm.b)
 
 
@@ -195,13 +186,12 @@ def evolve(
     grid = initial.grid
     half, centre = divmod(n, 2)     # x[half] = 0 when n is odd
     x = grid.x[half:]
-    W, W_mirror = profile.damping(x), profile.damping(-x)
-    asym = np.abs(W - W_mirror)
-    worst = int(np.argmax(asym))
-    if asym[worst] > EVEN_DAMPING_RTOL * np.abs(W).max():
+    W = grid.damping(profile)
+    if not np.array_equal(W, W[::-1]):
+        worst = half + int(np.argmax(np.abs(W - W[::-1])[half:]))
         raise PreconditionError(
             f"the damping is not even: W(x) = {W[worst]:.6g} but W(-x) = "
-            f"{W_mirror[worst]:.6g} at x = {x[worst]:.6g}; the stepper splits the "
+            f"{W[-1 - worst]:.6g} at x = {grid.x[worst]:.6g}; the stepper splits the "
             "strip at x = 0 and needs W(-x) = W(x)"
         )
     shift = transverse_shift(m, b)
@@ -211,7 +201,7 @@ def evolve(
             f"dt = {dt} does not resolve the transverse frequency {freq:.3g}"
         )
     alpha = 0.5 * dt
-    one_plus_aw = 1.0 + alpha * W
+    one_plus_aw = 1.0 + alpha * W[half:]
     diag = one_plus_aw + alpha**2 * (2.0 / grid.dx**2 + shift)
     off = -alpha**2 / grid.dx**2
     u0, v0 = initial.u.astype(complex), initial.v.astype(complex)

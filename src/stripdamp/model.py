@@ -157,7 +157,8 @@ def transverse_shift(m: int, b: float) -> float:
 class StripGrid:
     """The n interior points x of (-b, b), at spacing dx = 2b / (n + 1), and
     the discrete Dirichlet -d^2/dx^2 on them: 2/dx^2 on its diagonal, off
-    beside it, and its eigenvalues in spectrum (ascending)."""
+    beside it, and its eigenvalues in spectrum (ascending). x == -x[::-1] bit
+    for bit (0.0 at the centre of odd n), so an even profile samples evenly."""
 
     b: float
     n: int
@@ -168,7 +169,10 @@ class StripGrid:
 
     @functools.cached_property
     def x(self) -> np.ndarray:
-        return -self.b + self.dx * np.arange(1, self.n + 1)
+        half, centre = divmod(self.n, 2)
+        right = -self.b + self.dx * np.arange(half + 1, self.n + 1)
+        right[:centre] = 0.0
+        return np.concatenate([-right[centre:][::-1], right])
 
     @property
     def off(self) -> float:

@@ -140,7 +140,7 @@ class Quasimode:
         return CubicSpline(self.y_cap, self.v_cap)
 
     def evaluate(self, x):
-        """Profile on arbitrary points of (-b, b), odd extension included.
+        """Profile on arbitrary points of (-b, b): the odd extension, exactly odd, 0 at x = 0.
 
         The decaying factor is reconstructed by cubic spline (smooth enough
         to survive finite differencing downstream) and returned as zero
@@ -150,7 +150,6 @@ class Quasimode:
         """
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        sign = np.where(x < 0, -1.0, 1.0)
         eig = self.eig
         out = np.zeros(ax.shape, dtype=complex)
         left = ax < eig.a
@@ -161,7 +160,7 @@ class Quasimode:
         vals[yq > self.y_cap[-1]] = 0.0
         out[~left] = vals
         cut = CutoffFunction(b=self.b, delta=self.delta)
-        return sign * cut.value(ax) * out
+        return np.sign(x) * cut.value(ax) * out
 
 
 def build_quasimode(

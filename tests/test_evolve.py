@@ -163,15 +163,21 @@ class TestScheme:
         ("even", lambda n: n // 2 + n % 2),
         ("odd", lambda n: n // 2),
         ("mixed", lambda n: n),
+        ("bump", lambda n: n // 2 + n % 2),
     ])
     def test_reflection_blocks_match_sparse_lu(self, n, parity, block_rows, profile1,
                                                monkeypatch):
         """Each parity, at odd and even n, steps as the full-grid (u, v) step
-        does, and on only the rows of its reflection blocks."""
+        does, and on only the rows of its reflection blocks. The bump the
+        controls start from is sampled on the mirror-symmetric grid, so it is
+        exactly even."""
         x = StripGrid(3.0, n).x
         if parity == "mixed":
             rng = np.random.default_rng(11)
             u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        elif parity == "bump":
+            bump = bump_state(n)
+            u, v = bump.u, bump.v
         else:
             sign = 1.0 if parity == "even" else -1.0
             f = (1.0 + x) * np.exp(-4.0 * (x - 0.3) ** 2) * (1 + 0.2j)

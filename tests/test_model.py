@@ -10,6 +10,7 @@ from stripdamp.model import (
     CutoffFunction,
     DampingProfile,
     RunConfig,
+    StripGrid,
     UniformDamping,
     select_h,
 )
@@ -60,6 +61,29 @@ class TestDampingProfile:
     def test_uniform_damping(self):
         u = UniformDamping(0.7, b=3.0)
         assert np.allclose(u.damping(np.linspace(-3, 3, 11)), 0.7)
+
+
+class TestStripGrid:
+    def test_mirror_symmetric_bit_for_bit(self):
+        for n in range(1, 2001):
+            x = StripGrid(3.0, n).x
+            assert x.size == n and np.array_equal(x, -x[::-1]), n
+
+    # at n = 93, -b + dx * (n // 2 + 1) rounds to -4.4e-16, not to 0
+    @pytest.mark.parametrize("n", [1, 2, 93, 146, 1000])
+    def test_right_half_keeps_the_spacing_formula(self, n):
+        grid, half = StripGrid(3.0, n), n // 2
+        assert np.array_equal(grid.x[half:][n % 2:],
+                              (-3.0 + grid.dx * np.arange(half + 1, n + 1))[n % 2:])
+        assert np.all(np.diff(grid.x) > 0)
+        if n % 2:
+            assert grid.x[half] == 0.0
+
+    def test_indicator_damping_sampled_evenly(self):
+        # n = 146 is the first n >= 100 at which the nodes -b + dx * k miss
+        # their mirrors at |x| = a, reading W = 0 on one side and 1 on the other
+        W = StripGrid(3.0, 146).damping(DampingProfile(0.0, 1.0, 1.0, 3.0))
+        assert np.array_equal(W, W[::-1])
 
 
 class TestCutoff:

@@ -7,7 +7,7 @@ import pytest
 from stripdamp import cap, eigen, quasimode, verify
 from stripdamp.errors import PreconditionError
 from stripdamp.fits import loglog_fit
-from stripdamp.model import CutoffFunction, DampingProfile, select_h
+from stripdamp.model import CutoffFunction, DampingProfile, StripGrid, select_h
 from stripdamp.quadrature import complex_interp, fd_derivative
 
 
@@ -99,7 +99,7 @@ def _spline_evaluate(qm, x, L, nF, F):
     vals[yq > y[-1]] = 0.0
     out[~left] = vals
     cut = CutoffFunction(b=qm.b, delta=qm.delta)
-    return np.where(x < 0, -1.0, 1.0) * cut.value(ax) * out
+    return np.sign(x) * cut.value(ax) * out
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,14 @@ class TestAssembly:
     def test_odd_parity(self, qm1):
         x = np.linspace(0.1, 2.9, 57)
         assert np.allclose(qm1.evaluate(-x), -qm1.evaluate(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [601, 600])
+    def test_exactly_odd_on_strip_grid(self, qm1, n):
+        u = qm1.evaluate(StripGrid(qm1.b, n).x)
+        assert np.array_equal(u, -u[::-1])
+        if n % 2:
+            assert u[n // 2] == 0.0
+        assert qm1.evaluate(np.array([0.0]))[0] == 0.0
 
     def test_vanishes_at_wall(self, qm1):
         vals = qm1.evaluate(np.array([qm1.b - 1e-6, -(qm1.b - 1e-6)]))

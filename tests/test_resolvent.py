@@ -52,6 +52,13 @@ class TestAssembly:
         anti1 = op1.diag.imag
         assert np.allclose(anti1, q * profile1.damping(op1.grid.x))
 
+    def test_indicator_operator_is_even(self):
+        # on the grid n = 146 a node sat 1 ulp off its mirror at |x| = a when
+        # the nodes were -b + dx * k, and W jumped there
+        profile0 = DampingProfile(beta=0.0, a=1.0, sigma=1.0, b=3.0)
+        op = resolvent.assemble_reduced_operator(5.0, 1, profile0, 146)
+        assert np.array_equal(op.diag, op.diag[::-1])
+
     def test_lanczos_failure_raises(self, profile1, monkeypatch):
         # no quiet second path to the norm: the package error names the point.
         # The full-tolerance solve here takes 9 iterations, so a cap of 3

@@ -8,8 +8,9 @@ one after the other and at OPENBLAS_NUM_THREADS=1, the tool runs the
 checkout's own `src` on:
 
 * `verify-all`;
-* `eigen-sweep`, `quasimode-sweep`, `resolvent-scan --dump-operator`,
-  `evolve` and `cap-solve`, each at `--beta 0`, `1` and `2`.
+* `eigen-sweep`, `quasimode-sweep --dump-profiles`, `resolvent-scan
+  --dump-operator`, `evolve` and `cap-solve`, each at `--beta 0`, `1`
+  and `2`.
 
 Every file the runs write, and each run's standard output and exit code,
 is then compared between the two sides. A file is "identical" or gets the
@@ -37,7 +38,7 @@ from pathlib import Path
 
 JOBS = [("verify-all", ["verify-all"])] + [
     (f"{cmd}-beta{beta}", [cmd, "--beta", beta] + extra)
-    for cmd, extra in (("eigen-sweep", []), ("quasimode-sweep", []),
+    for cmd, extra in (("eigen-sweep", []), ("quasimode-sweep", ["--dump-profiles"]),
                        ("resolvent-scan", ["--dump-operator"]), ("evolve", []),
                        ("cap-solve", []))
     for beta in ("0", "1", "2")
