@@ -8,11 +8,11 @@ Criterion 4 asserts the quasimode-residual exponent -2 +- 0.1. The residual
 of the glued construction is dominated by the term (i lambda^2/2) W u that
 its half-line factor leaves behind, whose exponent is
 -(4 beta + 7)/(2 (beta + 2)), i.e. -1.75, -1.83, -1.88 for beta = 0, 1, 2.
-The fitted exponents are -1.727, -1.761 and -1.841; the companion check
+The fitted exponents are -1.7266, -1.7618 and -1.8427; the companion check
 asserts the construction value to +- 0.1. At beta = 2 the lowest sweep point
 (m = 512) has an outer-region residual from the constant join, 2.32e-5, as
-large as its inner residual, 2.27e-5, so the fitted -1.841 is not the inner
-law: the fit over the inner residual alone gives -1.767. The other leftover,
+large as its inner residual, 2.27e-5, so the fitted -1.8427 is not the inner
+law: the fit over the inner residual alone gives -1.7688. The other leftover,
 -(lambda^4/4) u, decays with exponent -2, the rate a construction absorbing
 all of q W into the half-line factor would show; nothing in the repository
 settles which construction the pin is meant for (see CHANGES.md). The -2

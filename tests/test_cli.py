@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestSubcommands:
         assert manifest["artifacts"] == {"demo": [str(tmp_path / "x.csv")]}
         assert manifest["stage_wall_s"] == {"demo": 0.25}
         assert "config_hash" not in manifest and "config_file" not in manifest
+
+    def test_timing_lines_print_the_budget_not_the_seconds(self, monkeypatch):
+        # the timed solve takes 0.1 s, 0.7 s, then 1.5 s against the 1 s budget
+        clock = iter([0.0, 0.1, 0.0, 0.7, 0.0, 1.5])
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        fast, slow, over = ([c.line() for c in verify.check_cap_oracle().checks]
+                            for _ in range(3))
+        assert fast == slow
+        assert fast[1] == "[PASS] cap oracle runtime: measured within budget, expected < 1s"
+        assert over[0] == fast[0]
+        assert over[1] == "[FAIL] cap oracle runtime: measured 1.50s, expected < 1s"
 
     @pytest.fixture()
     def calls(self, monkeypatch):

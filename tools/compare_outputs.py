@@ -17,20 +17,18 @@ is then compared between the two sides. A file is "identical" or gets the
 largest relative change |a - b| / max(|a|, |b|) of each column that
 changed: the named columns of a CSV, the whitespace-separated fields of any
 other file (so the row, column and value fields of a `.mtx` dump). A field
-that is not a number and differs is reported as "differs". The eight timing
-lines of `summary.txt` (the Airy comparison's "in ...s", `cap oracle
-runtime`, `eigen sweep runtime` and `resolvent scan runtime` at each beta)
-have their seconds masked, in the file and in the printed output;
-`manifest.json` holds wall times and is skipped. The outputs stay in a
-temporary directory whose path is printed. Exit status: 0 if every output
-is identical, 1 otherwise.
+that is not a number and differs is reported as "differs".
+`manifest.json` holds wall times and stays out of the comparison: in its
+place the tool prints each side's `verify-all` stage times (`stage_wall_s`),
+per stage and in total. The outputs stay in a temporary directory whose
+path is printed. Exit status: 0 if every output is identical, 1 otherwise.
 
 The tool uses only the standard library.
 """
 
 import csv
+import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -43,8 +41,6 @@ JOBS = [("verify-all", ["verify-all"])] + [
                        ("cap-solve", []))
     for beta in ("0", "1", "2")
 ]
-TIMING = re.compile(r"(cap boundary value vs Airy closed form|runtime \(beta=|cap oracle runtime)")
-SECONDS = re.compile(r"\d+(\.\d+)?s\b")
 
 
 def run(root: Path, out: Path):
@@ -58,11 +54,6 @@ def run(root: Path, out: Path):
         (out / f"{name}.stdout").write_text(
             proc.stdout + proc.stderr + f"exit code {proc.returncode}\n", encoding="utf-8")
         print(f"  {root.name}: {name} exit {proc.returncode}", file=sys.stderr)
-
-
-def masked(text: str) -> str:
-    return "\n".join(SECONDS.sub("<t>s", line) if TIMING.search(line) else line
-                     for line in text.split("\n"))
 
 
 def number(field: str):
@@ -110,6 +101,17 @@ def change(path: Path, a: str, b: str) -> str:
                      for name, rel in worst.items())
 
 
+def stage_times(rel: Path, sides):
+    """Print the stage_wall_s of both sides' manifest, per stage and in total."""
+    walls = [json.loads((side / rel).read_text(encoding="utf-8"))["stage_wall_s"]
+             if (side / rel).is_file() else {} for side in sides]
+    print(f"{rel}: not compared; stage wall s (parent -> change)")
+    for stage in dict.fromkeys([*walls[0], *walls[1]]):
+        print("  " + stage + ": " + " -> ".join(
+            f"{w[stage]:.2f}" if stage in w else "-" for w in walls))
+    print("  total: " + " -> ".join(f"{sum(w.values()):.2f}" for w in walls))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -124,23 +126,16 @@ def main(argv) -> int:
     all_same = True
     for rel in files:
         if rel.name == "manifest.json":
-            print(f"{rel}: skipped (wall times)")
+            stage_times(rel, sides)
             continue
         a, b = (side / rel for side in sides)
         if not (a.is_file() and b.is_file()):
             print(f"{rel}: only in {'PARENT' if a.is_file() else 'CHANGE'}")
             all_same = False
             continue
-        ta, tb = (p.read_text(encoding="utf-8") for p in (a, b))
-        note = ""
-        if rel.name == "summary.txt" or rel.suffix == ".stdout":
-            ma, mb = masked(ta), masked(tb)
-            if (ma, mb) != (ta, tb):
-                note = " (timing lines masked)"
-            ta, tb = ma, mb
-        result = change(rel, ta, tb)
+        result = change(rel, *(p.read_text(encoding="utf-8") for p in (a, b)))
         all_same &= result == "identical"
-        print(f"{rel}: {result}{note}")
+        print(f"{rel}: {result}")
     print(f"outputs in {work}")
     return 0 if all_same else 1
 
