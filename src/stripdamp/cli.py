@@ -9,6 +9,7 @@ CSVs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -41,6 +42,27 @@ def write_csv(path: Path, rows: list) -> Path:
     return path
 
 
+def _blas_threads() -> dict:
+    """{path: threads} for each OpenBLAS library this process loaded, as the
+    library itself reports (None if it exports no thread query)."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return {}
+    paths = sorted({parts[-1] for parts in map(str.split, maps.splitlines())
+                    if len(parts) >= 6 and "openblas" in parts[-1].rsplit("/", 1)[-1].lower()})
+    threads = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        query = next((f for f in (getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                                  for prefix in ("scipy_openblas", "openblas")
+                                  for suffix in ("64_", "")) if f is not None), None)
+        if query is not None:
+            query.restype = ctypes.c_int
+        threads[path] = None if query is None else int(query())
+    return threads
+
+
 def write_manifest(out_dir: Path, stage_paths: dict, stage_wall_s: dict) -> Path:
     manifest = {
         "package_version": __version__,
@@ -52,6 +74,7 @@ def write_manifest(out_dir: Path, stage_paths: dict, stage_wall_s: dict) -> Path
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "blas_threads": _blas_threads(),
         },
         "thresholds": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in verify.THRESHOLDS.items()},

@@ -14,16 +14,21 @@ exactly, so energy is conserved to rounding when W = 0 and never increases
 when W >= 0.
 
 The step is taken in eliminated form. With alpha = dt/2, the stiffness A
-and p = 2 alpha v, the midpoint rule is
+and h = alpha v, the midpoint rule is
 
-    S y = 2 (1 + alpha W) u + p,   S = diag(1 + alpha W) + alpha^2 A,
-    u' = y - u,                    p' = 2 (u' - u) - p,
+    (S/2) y = (1 + alpha W) u + h,   S = diag(1 + alpha W) + alpha^2 A,
+    u' = y - u,                      h' = (u' - u) - h,
 
 where y = u' + u. A cancels from the right-hand side, so a step needs no
 stiffness product. S is real, symmetric and tridiagonal, and positive
 definite while 1 + alpha W stays positive: LAPACK `dpttrf` factors it once
-as L D L^T, and each step is one `dpttrs` solve with the real and imaginary
-parts of the complex state as its two right-hand sides.
+as L D L^T, D is halved to factor S/2, and each step is one `dpttrs` solve
+with the real and imaginary parts of the complex state as its two
+right-hand sides, plus five in-place array operations. The halved form is
+the full form S y = 2 (1 + alpha W) u + p, p = 2 alpha v, with its right-hand
+side, its pivots and p scaled by 1/2. Scaling by a power of two is exact in
+floating point, and dividing by d/2 gives exactly 2x/d, so the iterates y
+and u' are those of the full form bit for bit, and h is exactly p/2.
 
 The damping must be even: its samples on the mirror-symmetric strip grid
 must equal their reversal exactly, and evolve refuses one that does not.
@@ -242,48 +247,52 @@ def evolve(
         return _from_reflection_parts(z[:n_even] if keep_even else zero_even,
                                       z[n_even:] if keep_odd else zero_odd, half, centre)
 
-    c = (2.0 * bw)[:, None]
-    # columns are the real and imaginary parts, so dpttrs solves in place
-    u = np.empty((bd.size, 2), order="F")
-    p = np.empty_like(u)
-    y = np.empty_like(u)
+    # columns are the real and imaginary parts, so dpttrs solves in place;
+    # the step is taken in halves, so the factor is of S / 2
+    sd *= 0.5
+    c = np.empty((bd.size, 2), order="F")
+    c[:, 0] = c[:, 1] = bw
+    u = np.empty_like(c)
+    h = np.empty_like(c)
+    y = np.empty_like(c)
     u[:, 0], u[:, 1] = ub.real, ub.imag
-    p[:, 0], p[:, 1] = vb.real, vb.imag
-    p *= 2.0 * alpha
+    h[:, 0], h[:, 1] = vb.real, vb.imag
+    h *= alpha
     steps = int(round(T / dt))
     times = [0.0]
     state = WaveState(u=u0, v=v0, m=m, b=b)
     energies = [discrete_energy(state)]
     states = [state] if store_states else None
     e_prev = energies[0]
-    for k in range(1, steps + 1):
-        np.multiply(c, u, out=y)
-        y += p
-        lapack.dpttrs(sd, se, y, overwrite_b=True)
-        y -= u                      # y = u'
-        np.subtract(y, u, out=u)    # u = u' - u
-        u += u
-        np.subtract(u, p, out=p)    # p = 2 (u' - u) - p
-        u, y = y, u
-        if k % stride == 0 or k == steps:
-            t = k * dt
-            state = WaveState(u=full(u[:, 0] + 1j * u[:, 1]),
-                              v=full((p[:, 0] + 1j * p[:, 1]) / (2.0 * alpha)),
-                              m=m, b=b)
-            e = discrete_energy(state)
-            if e > e_prev * (1.0 + ENERGY_RISE_RTOL):
-                w_min = float(W.min())
-                cause = ("the damping is nonnegative so this indicates a stepping fault"
-                         if w_min >= 0.0 else
-                         f"the damping is negative (min W = {w_min:.3g}) and feeds energy in")
-                raise InstabilityError(
-                    f"energy rose from {e_prev:.6e} to {e:.6e} at t = {t:.4g}; {cause}"
-                )
-            e_prev = e
-            times.append(t)
-            energies.append(e)
-            if store_states:
-                states.append(state)
+    multiply, subtract, dpttrs = np.multiply, np.subtract, lapack.dpttrs
+    for start in range(0, steps, stride):
+        k = min(start + stride, steps)
+        for _ in range(k - start):
+            multiply(c, u, y)
+            y += h
+            dpttrs(sd, se, y, overwrite_b=True)
+            y -= u                  # y = u'
+            subtract(y, u, u)       # u = u' - u
+            subtract(u, h, h)       # h = (u' - u) - h
+            u, y = y, u
+        t = k * dt
+        state = WaveState(u=full(u[:, 0] + 1j * u[:, 1]),
+                          v=full((h[:, 0] + 1j * h[:, 1]) / alpha),
+                          m=m, b=b)
+        e = discrete_energy(state)
+        if e > e_prev * (1.0 + ENERGY_RISE_RTOL):
+            w_min = float(W.min())
+            cause = ("the damping is nonnegative so this indicates a stepping fault"
+                     if w_min >= 0.0 else
+                     f"the damping is negative (min W = {w_min:.3g}) and feeds energy in")
+            raise InstabilityError(
+                f"energy rose from {e_prev:.6e} to {e:.6e} at t = {t:.4g}; {cause}"
+            )
+        e_prev = e
+        times.append(t)
+        energies.append(e)
+        if store_states:
+            states.append(state)
     trace = EnergyTrace(np.asarray(times), np.asarray(energies))
     return (trace, states) if store_states else trace
 

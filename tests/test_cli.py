@@ -132,8 +132,13 @@ class TestSubcommands:
         manifest = json.loads(Path(path).read_text())
         assert manifest["betas"] == [0.0, 1.0, 2.0]
         env = manifest["environment"]
-        assert sorted(env) == ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "cpu_count",
-                               "numpy", "python", "scipy"]
+        assert sorted(env) == ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "blas_threads",
+                               "cpu_count", "numpy", "python", "scipy"]
+        # NumPy's and SciPy's OpenBLAS, each with the thread count it reports
+        if Path("/proc/self/maps").is_file():
+            assert env["blas_threads"]
+        assert all("openblas" in Path(lib).name.lower() and threads >= 1
+                   for lib, threads in env["blas_threads"].items())
         assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__

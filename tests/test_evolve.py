@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from stripdamp import eigen, evolve, quasimode, verify
 from stripdamp.errors import InstabilityError, PreconditionError
@@ -55,6 +56,73 @@ def oracle_evolve(state, profile, dt, steps):
         u, v = u_new, (u_new - r1) / alpha
         energies.append(energy(u, v))
     return u, v, np.asarray(energies)
+
+
+def full_step_evolve(state, profile, dt, T, stride):
+    """The full-step loop evolve ran before its halved form, on the same
+    reflection blocks: S y = 2 (1 + alpha W) u + p with p = 2 alpha v, one
+    broadcast product a step, sampled where k % stride == 0 and at the last
+    step. Returns the sample times, the energies and the sampled states."""
+    n, b, m = state.n, state.b, state.m
+    grid = state.grid
+    half, centre = divmod(n, 2)
+    W = grid.damping(profile)
+    shift = 4.0 * np.pi**2 * m**2 / b**2
+    alpha = 0.5 * dt
+    one_plus_aw = 1.0 + alpha * W[half:]
+    diag = one_plus_aw + alpha**2 * (2.0 / grid.dx**2 + shift)
+    off = -alpha**2 / grid.dx**2
+    u0, v0 = state.u.astype(complex), state.v.astype(complex)
+    u_even, u_odd = evolve._reflection_parts(u0, half, centre)
+    v_even, v_odd = evolve._reflection_parts(v0, half, centre)
+    d_even, e_even = diag.copy(), np.full(half + centre - 1, off)
+    d_even[:1 - centre] += off
+    e_even[:centre] *= np.sqrt(2.0)
+    d_odd, e_odd = diag[centre:].copy(), np.full(half - 1, off)
+    d_odd[:1 - centre] -= off
+    keep_odd = bool(np.any(u_odd) or np.any(v_odd))
+    keep_even = bool(np.any(u_even) or np.any(v_even))
+    blocks = [blk for keep, blk in (
+        (keep_even, (d_even, e_even, one_plus_aw, u_even, v_even)),
+        (keep_odd, (d_odd, e_odd, one_plus_aw[centre:], u_odd, v_odd)),
+    ) if keep]
+    bd, be, bw, ub, vb = (np.concatenate(col) for col in zip(*blocks))
+    if len(blocks) == 2:
+        be = np.insert(be, e_even.size, 0.0)
+    sd, se, info = dpttrf(bd, be)
+    assert info == 0
+    n_even = d_even.size if keep_even else 0
+
+    def full(z):
+        return evolve._from_reflection_parts(
+            z[:n_even] if keep_even else np.zeros(half + centre),
+            z[n_even:] if keep_odd else np.zeros(half), half, centre)
+
+    c = (2.0 * bw)[:, None]
+    u = np.empty((bd.size, 2), order="F")
+    p = np.empty_like(u)
+    y = np.empty_like(u)
+    u[:, 0], u[:, 1] = ub.real, ub.imag
+    p[:, 0], p[:, 1] = vb.real, vb.imag
+    p *= 2.0 * alpha
+    steps = int(round(T / dt))
+    times, states = [0.0], [evolve.WaveState(u=u0, v=v0, m=m, b=b)]
+    for k in range(1, steps + 1):
+        np.multiply(c, u, out=y)
+        y += p
+        dpttrs(sd, se, y, overwrite_b=True)
+        y -= u
+        np.subtract(y, u, out=u)
+        u += u
+        np.subtract(u, p, out=p)
+        u, y = y, u
+        if k % stride == 0 or k == steps:
+            times.append(k * dt)
+            states.append(evolve.WaveState(
+                u=full(u[:, 0] + 1j * u[:, 1]),
+                v=full((p[:, 0] + 1j * p[:, 1]) / (2.0 * alpha)), m=m, b=b))
+    energies = [evolve.discrete_energy(s) for s in states]
+    return np.asarray(times), np.asarray(energies), states
 
 
 class TestScheme:
@@ -210,6 +278,44 @@ class TestScheme:
         trace, states = evolve.evolve(state, profile1, 1e-3, 0.02, store_states=True)
         assert np.linalg.norm(states[-1].u - u_ref) <= 1e-11 * np.linalg.norm(u_ref)
         assert np.max(np.abs(trace.energies / energies - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("case", ["quasimode-600", "quasimode-601", "even-bump",
+                                      "mixed-bump"])
+    def test_halved_step_is_the_full_step_bit_for_bit(self, case, stride, qm, profile1,
+                                                      monkeypatch):
+        """The halved step reproduces the full step it replaced exactly: the
+        same sample times, energies and states, over 200 steps (not a
+        multiple of 7), with one dpttrs solve a step."""
+        if case.startswith("quasimode"):
+            state = evolve.quasimode_state(qm, int(case[-3:]))
+            dt = 0.12 / qm.q.real
+        elif case == "even-bump":
+            state, dt = bump_state(300), 1e-3
+        else:
+            # off centre, so both reflection blocks are stepped
+            x = StripGrid(3.0, 300).x
+            u = np.exp(-4 * (x - 0.3) ** 2) * (1 + 0.2j)
+            state, dt = evolve.WaveState(u=u, v=(3.0 + 1.0j) * u, m=3, b=3.0), 1e-3
+        steps = 200
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return dpttrs(*args, **kwargs)
+
+        monkeypatch.setattr(evolve.lapack, "dpttrs", counted)
+        trace, states = evolve.evolve(state, profile1, dt, steps * dt, stride=stride,
+                                      store_states=True)
+        times, energies, ref_states = full_step_evolve(state, profile1, dt, steps * dt,
+                                                       stride)
+        assert len(solves) == steps
+        assert np.array_equal(trace.times, times)
+        assert np.array_equal(trace.energies, energies)
+        assert len(states) == len(ref_states) == (steps + stride - 1) // stride + 1
+        for got, ref in zip(states, ref_states):
+            assert np.array_equal(got.u, ref.u)
+            assert np.array_equal(got.v, ref.v)
 
     def test_uneven_damping_refused(self):
         class Ramp:
